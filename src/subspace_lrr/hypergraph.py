@@ -1,14 +1,15 @@
 """Locality structures on point clouds.
 
 Builds epsilon-ball hypergraphs with density-dependent edge weights, plus
-the classic kNN graph / kNN hypergraph Laplacians, and reduces each to a
-symmetric PSD operator whose quadratic form tr(Z L Z^T) penalizes spread
-of coefficient columns over each neighborhood.
+the classic kNN graph / kNN hypergraph Laplacians. All three reduce, by one
+clique expansion, to a symmetric PSD operator whose quadratic form
+tr(Z L Z^T) penalizes spread of coefficient columns over each neighborhood.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -133,23 +134,28 @@ class LocalityOperator:
         return float(np.trace(z @ self.matrix @ z.T))
 
 
-def hyperedge_weight(vertices, observations):
-    """Density weight of an edge: (1/c) over the summed squared pair distances.
+def _edge_weights(points, members, sizes):
+    """(1/c) / sum_{a<b} ||x_a - x_b||^2 for each edge packed in `members`.
 
-    Degenerate (near-coincident) vertex sets are clamped to WEIGHT_FLOOR
-    before inversion.
+    The pair sum is taken as c * sum_a ||x_a - centroid||^2, which does not
+    cancel as a Gram-matrix difference would, and clamped to WEIGHT_FLOOR.
     """
+    sizes = np.asarray(sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    pts = points[:, members]
+    centroids = np.add.reduceat(pts, starts, axis=1) / sizes
+    pts -= np.repeat(centroids, sizes, axis=1)
+    total = sizes * np.add.reduceat(np.sum(pts * pts, axis=0), starts)
+    return (1.0 / sizes) / np.maximum(total, WEIGHT_FLOOR)
+
+
+def hyperedge_weight(vertices, observations):
+    """Density weight of an edge: (1/c) over the summed squared pair
+    distances, clamped to WEIGHT_FLOOR for near-coincident vertex sets."""
     verts = list(vertices)
-    c = len(verts)
-    if c < 2:
+    if len(verts) < 2:
         raise InvalidInputError("hyperedge weight needs at least two vertices")
-    pts = observations.data[:, verts]
-    total = 0.0
-    for a in range(c):
-        diff = pts[:, a + 1 :] - pts[:, a : a + 1]
-        total += float(np.sum(diff * diff))
-    total = max(total, WEIGHT_FLOOR)
-    return (1.0 / c) / total
+    return float(_edge_weights(observations.data, verts, [len(verts)])[0])
 
 
 def epsilon_ball_hyperedges(observations, eps, mode="absolute"):
@@ -172,84 +178,73 @@ def epsilon_ball_hyperedges(observations, eps, mode="absolute"):
     elif mode == "quantile":
         if not (0.0 < eps < 1.0):
             raise InvalidParameterError("quantile must lie in (0, 1)")
-        iu = np.triu_indices(n, k=1)
-        threshold = float(np.quantile(dist[iu], eps))
+        threshold = float(np.quantile(dist[np.triu_indices(n, k=1)], eps))
     else:
         raise InvalidParameterError(f"unknown eps mode: {mode!r}")
 
-    vertex_sets = set()
-    for i in range(n):
-        members = np.flatnonzero(dist[i] < threshold)
-        members = set(members.tolist()) | {i}
-        if len(members) >= 2:
-            vertex_sets.add(tuple(sorted(members)))
-
-    edges = tuple(
-        Hyperedge(verts, hyperedge_weight(verts, observations))
-        for verts in sorted(vertex_sets)
-    )
+    balls = dist < threshold
+    np.fill_diagonal(balls, True)
+    vertex_sets = sorted({tuple(np.flatnonzero(r).tolist()) for r in balls[balls.sum(1) >= 2]})
+    sizes = [len(verts) for verts in vertex_sets]
+    members = [v for verts in vertex_sets for v in verts]
+    weights = _edge_weights(observations.data, members, sizes).tolist()
+    edges = tuple(Hyperedge(verts, w) for verts, w in zip(vertex_sets, weights))
     return Hypergraph(n=n, edges=edges)
 
 
-def locality_operator_from_hypergraph(graph):
-    """Clique-expansion reduction of a hypergraph to a locality operator.
+def _clique_operator(n, members, sizes, weights):
+    """Clique expansion L = diag(H (w * sizes)) - H diag(w) H^T.
 
-    Each edge e contributes a(e) * (|e| * diag(1_e) - 1_e 1_e^T), the unique
-    symmetric matrix whose quadratic form sums a(e) ||z_i - z_j||^2 over all
-    vertex pairs of e.
+    H is the n x E incidence matrix of the edges packed end to end in
+    `members`: edge e adds w_e (|e| diag(1_e) - 1_e 1_e^T), whose quadratic
+    form sums w_e ||z_i - z_j||^2 over the vertex pairs of e.
     """
-    if graph.n < 2:
-        raise InvalidInputError("need at least two vertices")
-    mat = np.zeros((graph.n, graph.n))
-    for e in graph.edges:
-        idx = np.array(e.vertices)
-        c = len(idx)
-        mat[np.ix_(idx, idx)] -= e.weight
-        mat[idx, idx] += e.weight * c
+    sizes = np.asarray(sizes, dtype=int)
+    weights = np.asarray(weights, dtype=float)
+    edge_of = np.repeat(np.arange(sizes.size), sizes)
+    h = sparse.csr_matrix((np.ones(edge_of.size), (members, edge_of)), shape=(n, sizes.size))
+    mat = (h @ sparse.diags(weights) @ h.T).toarray()
+    np.subtract(0.0, mat, out=mat)  # not np.negative, which leaves -0.0 entries
+    mat[np.diag_indices(n)] += h @ (weights * sizes)
     return LocalityOperator(mat)
 
 
+def locality_operator_from_hypergraph(graph):
+    """Clique-expansion reduction of a hypergraph to a locality operator."""
+    if graph.n < 2:
+        raise InvalidInputError("need at least two vertices")
+    return _clique_operator(graph.n, [v for e in graph.edges for v in e.vertices],
+                            [len(e) for e in graph.edges], [e.weight for e in graph.edges])
+
+
 def _knn_sets(observations, k):
-    """k nearest neighbors of each point, ties broken by lower index."""
+    """k nearest neighbors of each point (n x k), ties broken by lower index."""
     n = observations.n
     if not (1 <= k <= n - 1):
         raise InvalidParameterError(f"k must be in [1, {n - 1}]")
     dist = observations.pairwise_distances()
-    neighbors = []
-    for i in range(n):
-        order = sorted(j for j in range(n) if j != i)
-        order.sort(key=lambda j: dist[i, j])
-        neighbors.append(order[:k])
-    return neighbors
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k].copy()  # frees the n x n sort
 
 
 def knn_graph_laplacian(observations, k):
-    """Unnormalized Laplacian of the OR-symmetrized binary kNN graph."""
+    """Unnormalized Laplacian of the OR-symmetrized binary kNN graph: the
+    clique expansion of its unique pairs, each with weight 1."""
     n = observations.n
     neighbors = _knn_sets(observations, k)
-    w = np.zeros((n, n))
-    for i, nbrs in enumerate(neighbors):
-        for j in nbrs:
-            w[i, j] = 1.0
-            w[j, i] = 1.0
-    lap = np.diag(w.sum(axis=1)) - w
-    return LocalityOperator(lap)
+    pairs = np.column_stack([np.repeat(np.arange(n), k), neighbors.ravel()])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+    return _clique_operator(n, pairs.ravel(), np.full(len(pairs), 2), np.ones(len(pairs)))
 
 
 def knn_hypergraph_laplacian(observations, k):
-    """Hypergraph Laplacian with one unit-weight edge per vertex.
+    """Hypergraph Laplacian L = D_v - H D_e^{-1} H^T with one unit-weight
+    edge per vertex, joining vertex i with its k nearest neighbors.
 
-    Edge i joins vertex i with its k nearest neighbors. Duplicated vertex
-    sets are kept (one incidence column per vertex), matching the standard
-    star-of-neighborhoods construction: L = D_v - H W D_e^{-1} H^T.
+    Duplicated vertex sets are kept (one incidence column per vertex). This
+    is the clique expansion of these stars with weight 1/(k+1).
     """
     n = observations.n
     neighbors = _knn_sets(observations, k)
-    h = np.zeros((n, n))  # rows: vertices, columns: one edge per vertex
-    for i, nbrs in enumerate(neighbors):
-        h[i, i] = 1.0
-        h[nbrs, i] = 1.0
-    d_v = h.sum(axis=1)  # unit edge weights
-    d_e = h.sum(axis=0)
-    lap = np.diag(d_v) - (h / d_e) @ h.T
-    return LocalityOperator(lap)
+    stars = np.column_stack([np.arange(n), neighbors])
+    return _clique_operator(n, stars.ravel(), np.full(n, k + 1), np.full(n, 1.0 / (k + 1)))

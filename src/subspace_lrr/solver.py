@@ -74,6 +74,8 @@ class SolveReport:
     iterations: int
     residual_history: list = field(repr=False)
     change_history: list = field(repr=False)
+    M1: np.ndarray = field(repr=False)  # final multipliers of Y = YZ + E
+    M2: np.ndarray = field(repr=False)  # and of Z = J
     wall_time_s: float = 0.0
 
 
@@ -237,5 +239,7 @@ def solve(observations, locality=None, cfg=None):
         iterations=state.k,
         residual_history=residual_history,
         change_history=change_history,
+        M1=state.M1,
+        M2=state.M2,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -89,27 +89,6 @@ def lrr_dual_bound(y, laplacian, z, m1, m2, cfg):
     return t * np.sum(m1 * y) - cfg.beta * t**2 * np.trace(z @ laplacian @ z.T)
 
 
-def run_solver_loop(y, laplacian, cfg):
-    """The `solve` iteration from zero for cfg.max_iter steps, returning the
-    final state: `SolveReport` does not keep the multipliers M1 and M2."""
-    obs, locality = ObservationMatrix(y), LocalityOperator(laplacian)
-    state = SolverState.initial(*y.shape, cfg.mu0)
-    y_norm2 = float(np.linalg.norm(y, 2))
-    for _ in range(cfg.max_iter):
-        eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
-        z_prev, j_prev, e_prev = state.Z, state.J, state.E
-        state.Z = update_Z(state, locality, obs, cfg, eta1, y_norm2)
-        state.E = update_E(state, obs, cfg)
-        state.J = update_J(state, cfg)
-        h = (
-            eta1 * np.linalg.norm(state.Z - z_prev),
-            state.mu * np.linalg.norm(state.J - j_prev),
-            state.mu * np.linalg.norm(state.E - e_prev),
-        )
-        state.M1, state.M2, state.mu = update_multipliers(state, obs, cfg, *h)
-    return state
-
-
 def test_criterion_1_two_moons_reproduction(benchmark_runs):
     out_dir = benchmark_runs[0]
     tlr = read_report(out_dir, "tlr-lrr", "two-moons")
@@ -149,9 +128,10 @@ def test_criterion_2_three_circles_reproduction(benchmark_runs):
     ds = three_circles(seed=SEED, **spec["generator"])
     y = ds.observations.data
     params = spec["method_params"]
-    laplacian = locality_operator_from_hypergraph(
+    locality = locality_operator_from_hypergraph(
         epsilon_ball_hyperedges(ds.observations, params["eps"], mode=params["eps_mode"])
-    ).matrix
+    )
+    laplacian = locality.matrix
     cfg = SolverConfig(**spec["solver"])
     f_tlr = lrr_objective(y, laplacian, z_tlr, cfg)
 
@@ -159,12 +139,12 @@ def test_criterion_2_three_circles_reproduction(benchmark_runs):
     for ring in range(spec["k"]):
         idx = np.flatnonzero(ds.labels == ring)
         y_ring, lap_ring = y[:, idx], laplacian[np.ix_(idx, idx)]
-        state = run_solver_loop(y_ring, lap_ring, cfg)
-        bound_sep += lrr_dual_bound(y_ring, lap_ring, state.Z, state.M1, state.M2, cfg)
+        report = solve(y_ring, LocalityOperator(lap_ring), cfg)
+        bound_sep += lrr_dual_bound(y_ring, lap_ring, report.Z, report.M1, report.M2, cfg)
     assert f_tlr < bound_sep
 
-    state = run_solver_loop(y, laplacian, cfg)
-    bound = lrr_dual_bound(y, laplacian, state.Z, state.M1, state.M2, cfg)
+    report = solve(ds.observations, locality, cfg)
+    bound = lrr_dual_bound(y, laplacian, report.Z, report.M1, report.M2, cfg)
     assert f_tlr - bound <= 0.05 * f_tlr
 
 

@@ -83,6 +83,19 @@ class TestEpsilonBall:
         got = {e.vertices for e in permuted.edges}
         assert got == expected
 
+        # every operator relabels with its points: L(Y P) = P^T L(Y) P
+        for build in (
+            lambda obs: locality_operator_from_hypergraph(epsilon_ball_hyperedges(obs, 0.8)),
+            lambda obs: knn_graph_laplacian(obs, 3),
+            lambda obs: knn_hypergraph_laplacian(obs, 3),
+        ):
+            lap = build(ObservationMatrix(y)).matrix
+            lap_permuted = build(ObservationMatrix(y[:, perm])).matrix
+            np.testing.assert_allclose(
+                lap_permuted, lap[np.ix_(perm, perm)], rtol=0,
+                atol=1e-12 * np.abs(lap).max(),
+            )
+
     def test_bad_parameters(self):
         obs = ObservationMatrix([[0.0, 1.0]])
         with pytest.raises(InvalidParameterError):
@@ -107,6 +120,18 @@ class TestHyperedgeWeight:
     def test_coincident_pair_clamped(self):
         obs = ObservationMatrix([[1.0, 1.0]])
         assert hyperedge_weight((0, 1), obs) == pytest.approx(0.5e12)
+
+    def test_edge_weights_match_pair_loop(self):
+        rng = np.random.default_rng(4)
+        obs = ObservationMatrix(rng.normal(size=(3, 30)))
+        graph = epsilon_ball_hyperedges(obs, 0.2, mode="quantile")
+        assert graph.p > 2
+        for e in graph.edges:
+            pair_sum = sum(
+                float(np.sum((obs.data[:, i] - obs.data[:, j]) ** 2))
+                for a, i in enumerate(e.vertices) for j in e.vertices[a + 1:]
+            )
+            assert e.weight == pytest.approx(1 / len(e) / pair_sum, rel=1e-12)
 
     def test_rejects_singleton(self):
         obs = ObservationMatrix([[0.0, 0.5]])
@@ -170,6 +195,33 @@ class TestKnnLaplacians:
             op.matrix,
             [[1.0, -1.0, 0.0], [-1.0, 1.5, -0.5], [0.0, -0.5, 0.5]],
         )
+
+    @pytest.mark.parametrize(
+        "x, k",
+        [
+            # point 1 is as near to point 0 as to point 2 and picks point 0
+            ([0, 1, 2], 1),
+            # the same tie, which the kNN graph shows as no edge (1, 2)
+            ([0, 2, 4, 5], 1),
+            # many ties, where an unstable sort or an argpartition picks others
+            (list(range(10)), 3),
+            ([0, 1, 2, 3, 5, 6, 7, 8, 10, 11], 5),
+        ],
+    )
+    def test_knn_ties_go_to_the_lower_index(self, x, k):
+        n = len(x)
+        graph, hyper = np.zeros((n, n)), np.zeros((n, n))
+        for i in range(n):
+            others = sorted((j for j in range(n) if j != i), key=lambda j: (abs(x[i] - x[j]), j))
+            nbrs = others[:k]
+            graph[i, nbrs] = graph[nbrs, i] = -1.0
+            star = [i, *nbrs]
+            hyper[np.ix_(star, star)] -= 1.0 / (k + 1)
+            hyper[star, star] += 1.0
+        np.fill_diagonal(graph, -graph.sum(axis=1))
+        obs = ObservationMatrix(np.array([x], dtype=float))
+        np.testing.assert_array_equal(knn_graph_laplacian(obs, k).matrix, graph)
+        np.testing.assert_allclose(knn_hypergraph_laplacian(obs, k).matrix, hyper, atol=1e-12)
 
     def test_k_out_of_range(self):
         obs = ObservationMatrix([[0.0, 1.0, 3.0]])
