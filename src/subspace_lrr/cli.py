@@ -93,18 +93,15 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         "k": k,
         "solver_config": asdict(cfg),
         "method_params": _jsonable(params),
+        "converged": True,  # the baselines run no solver; a solve overwrites these
+        "iterations": 0,
+        "residual_history": [],
     }
     coefficients = None
     if method == "kmeans":
         labels = clustering.kmeans(obs.data.T, k, seed=seed)
-        report["converged"] = True
-        report["iterations"] = 0
-        report["residual_history"] = []
     elif method == "ncut":
         labels = clustering.ncut_spectral(_gaussian_affinity(obs), k, seed=seed)
-        report["converged"] = True
-        report["iterations"] = 0
-        report["residual_history"] = []
     else:
         if cfg.beta > 0 and method == "lrr":
             cfg = cfg.replace(beta=0.0)

@@ -117,8 +117,10 @@ class LocalityOperator:
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        # mat is symmetric, so ||mat||_2 is its largest |eigenvalue|
         object.__setattr__(
-            self, "spectral_norm", float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+            self, "spectral_norm",
+            float(np.abs(np.linalg.eigvalsh(mat)).max()) if mat.size else 0.0,
         )
 
     @property

@@ -4,6 +4,10 @@ Minimizes  ||Z||_* + lambda ||J||_1 + beta tr(Z L Z^T) + gamma ||E||_1
 subject to Y = YZ + E, Z = J, J >= 0, by alternating closed-form proximal
 steps (singular value thresholding for Z, soft thresholding for E and J)
 with an adaptive penalty schedule.
+
+Per iteration: Z-step, fit = Y - YZ, E-step, J-step, primal = fit - E,
+stop test, dual ascent. fit, primal, the residual ||primal|| / ||Y||_F and
+the iterate change are each computed once and handed to the later steps.
 """
 
 import time
@@ -52,7 +56,6 @@ class SolverState:
     M1: np.ndarray
     M2: np.ndarray
     mu: float
-    k: int = 0
 
     @classmethod
     def initial(cls, m, n, mu0):
@@ -125,12 +128,13 @@ def svt(a, tau):
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def grad_q(state, locality, observations, cfg):
-    """Gradient of the smooth part of the Z-subproblem at the current Z."""
-    y = observations.data
-    resid = y - y @ state.Z - state.E + state.M1 / state.mu
+def grad_q(state, locality, observations, cfg, primal):
+    """Gradient of the smooth part of the Z-subproblem at the current Z.
+
+    `primal` is the residual Y - YZ - E at the current Z and E.
+    """
     out = state.mu * (state.Z - state.J + state.M2 / state.mu)
-    out -= state.mu * (y.T @ resid)
+    out -= state.mu * (observations.data.T @ (primal + state.M1 / state.mu))
     if cfg.beta != 0.0:
         out += 2.0 * cfg.beta * (state.Z @ locality.matrix)
     return out
@@ -141,41 +145,31 @@ def step_size(beta, locality, mu, y_norm2, eta_margin):
     return eta_margin * (2.0 * beta * locality.spectral_norm + mu * (1.0 + y_norm2**2))
 
 
-def update_Z(state, locality, observations, cfg, eta1=None, y_norm2=None):
-    if y_norm2 is None:
-        y_norm2 = float(np.linalg.norm(observations.data, 2))
-    if eta1 is None:
-        eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
-    g = grad_q(state, locality, observations, cfg)
+def update_Z(state, locality, observations, cfg, eta1, primal):
+    g = grad_q(state, locality, observations, cfg, primal)
     return svt(state.Z - g / eta1, 1.0 / eta1)
 
 
-def update_E(state, observations, cfg):
-    y = observations.data
-    return shrink(y - y @ state.Z + state.M1 / state.mu, cfg.gamma / state.mu)
+def update_E(state, fit, cfg):
+    """Prox step on E; `fit` is Y - YZ at the new Z."""
+    return shrink(fit + state.M1 / state.mu, cfg.gamma / state.mu)
 
 
 def update_J(state, cfg):
     return np.maximum(shrink(state.Z + state.M2 / state.mu, cfg.lam / state.mu), 0.0)
 
 
-def update_multipliers(state, observations, cfg, h1, h2, h3):
+def update_multipliers(state, primal, cfg, change):
     """Dual ascent on both constraints plus the conditional penalty growth."""
-    y = observations.data
-    m1 = state.M1 + state.mu * (y - y @ state.Z - state.E)
+    m1 = state.M1 + state.mu * primal
     m2 = state.M2 + state.mu * (state.Z - state.J)
-    rho = cfg.rho0 if max(h1, h2, h3) <= cfg.eps2 else 1.0
+    rho = cfg.rho0 if change <= cfg.eps2 else 1.0
     mu = min(cfg.mu_max, rho * state.mu)
     return m1, m2, mu
 
 
-def check_convergence(state, observations, cfg, h1, h2, h3):
-    y = observations.data
-    y_fro = np.linalg.norm(y)
-    if y_fro == 0:
-        raise InvalidInputError("convergence test undefined for all-zero data")
-    residual = np.linalg.norm(y - y @ state.Z - state.E) / y_fro
-    return residual < cfg.eps1 and max(h1, h2, h3) <= cfg.eps2
+def check_convergence(residual, change, cfg):
+    return residual < cfg.eps1 and change <= cfg.eps2
 
 
 def solve(observations, locality=None, cfg=None):
@@ -203,32 +197,33 @@ def solve(observations, locality=None, cfg=None):
     y_norm2 = float(np.linalg.norm(y, 2))
 
     state = SolverState.initial(m, n, cfg.mu0)
+    primal = y  # Y - YZ - E at Z = 0, E = 0
     residual_history = []
     change_history = []
     converged = False
     t0 = time.perf_counter()
 
-    for _ in range(cfg.max_iter):
-        state.k += 1
+    for iterations in range(1, cfg.max_iter + 1):
         eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
 
         z_prev, j_prev, e_prev = state.Z, state.J, state.E
-        state.Z = update_Z(state, locality, observations, cfg, eta1, y_norm2)
-        state.E = update_E(state, observations, cfg)
+        state.Z = update_Z(state, locality, observations, cfg, eta1, primal)
+        fit = y - y @ state.Z
+        state.E = update_E(state, fit, cfg)
         state.J = update_J(state, cfg)
+        primal = fit - state.E
 
-        h1 = eta1 * np.linalg.norm(state.Z - z_prev)
-        h2 = state.mu * np.linalg.norm(state.J - j_prev)
-        h3 = state.mu * np.linalg.norm(state.E - e_prev)
+        change = float(max(
+            eta1 * np.linalg.norm(state.Z - z_prev),
+            state.mu * np.linalg.norm(state.J - j_prev),
+            state.mu * np.linalg.norm(state.E - e_prev),
+        ))
+        residual = float(np.linalg.norm(primal) / y_fro)
+        residual_history.append(residual)
+        change_history.append(change)
+        converged = check_convergence(residual, change, cfg)
 
-        residual = np.linalg.norm(y - y @ state.Z - state.E) / y_fro
-        residual_history.append(float(residual))
-        change_history.append(float(max(h1, h2, h3)))
-        converged = check_convergence(state, observations, cfg, h1, h2, h3)
-
-        state.M1, state.M2, state.mu = update_multipliers(
-            state, observations, cfg, h1, h2, h3
-        )
+        state.M1, state.M2, state.mu = update_multipliers(state, primal, cfg, change)
         if converged:
             break
 
@@ -236,7 +231,7 @@ def solve(observations, locality=None, cfg=None):
         Z=state.Z,
         E=state.E,
         converged=converged,
-        iterations=state.k,
+        iterations=iterations,
         residual_history=residual_history,
         change_history=change_history,
         M1=state.M1,

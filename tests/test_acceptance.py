@@ -29,16 +29,7 @@ from subspace_lrr import (
     three_circles,
 )
 from subspace_lrr.cli import BENCHMARK_CONFIG, main
-from subspace_lrr.solver import (
-    SolverConfig,
-    SolverState,
-    grad_q,
-    step_size,
-    update_E,
-    update_J,
-    update_multipliers,
-    update_Z,
-)
+from subspace_lrr.solver import SolverConfig, SolverState, grad_q
 
 SEED = 0
 
@@ -180,7 +171,9 @@ def test_criterion_3_subspaces_with_outlier():
     assert outlier_energy / total_energy >= 0.80
 
 
-def test_criterion_4_solver_invariant_suite():
+def test_criterion_4_solver_invariant_suite(monkeypatch):
+    from test_solver import check_loop_invariants
+
     rng = np.random.default_rng(20)
 
     # gradient of the smooth objective vs central finite differences
@@ -207,7 +200,8 @@ def test_criterion_4_solver_invariant_suite():
             E=rng.normal(size=(m, n)), M1=rng.normal(size=(m, n)),
             M2=rng.normal(size=(n, n)), mu=float(rng.uniform(0.5, 2.0)),
         )
-        grad = grad_q(state, locality, obs, cfg)
+        primal = obs.data - obs.data @ state.Z - state.E
+        grad = grad_q(state, locality, obs, cfg, primal)
         fd = np.zeros_like(grad)
         for i, j in np.ndindex(n, n):
             zp, zm = state.Z.copy(), state.Z.copy()
@@ -243,25 +237,9 @@ def test_criterion_4_solver_invariant_suite():
     locality = locality_operator_from_hypergraph(
         epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
     )
-    cfg = SolverConfig(mu0=1.0, mu_max=5.0)
-    state = SolverState.initial(3, 8, cfg.mu0)
-    y_norm2 = float(np.linalg.norm(obs.data, 2))
-    mu_prev = state.mu
-    for _ in range(60):
-        eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
-        z_prev, j_prev, e_prev = state.Z, state.J, state.E
-        state.Z = update_Z(state, locality, obs, cfg, eta1, y_norm2)
-        state.E = update_E(state, obs, cfg)
-        state.J = update_J(state, cfg)
-        assert np.all(state.J >= 0)
-        h = (
-            eta1 * np.linalg.norm(state.Z - z_prev),
-            state.mu * np.linalg.norm(state.J - j_prev),
-            state.mu * np.linalg.norm(state.E - e_prev),
-        )
-        state.M1, state.M2, state.mu = update_multipliers(state, obs, cfg, *h)
-        assert mu_prev <= state.mu <= cfg.mu_max
-        mu_prev = state.mu
+    cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60)
+    with monkeypatch.context() as patch:
+        check_loop_invariants(patch, obs, locality, cfg)
 
     # a converged run really meets both stopping conditions
     base_cols = rng.normal(size=(4, 5))

@@ -64,6 +64,15 @@ class TestCluster:
         assert code == 2
         assert not report_path.exists()
 
+    def test_all_zero_data_exits_2(self, tmp_path):
+        data = tmp_path / "zeros.csv"
+        data.write_text("dim_0,dim_1\n" + "0.0,0.0\n" * 4)
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", "lrr", "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+
     def test_nonconvergence_exits_3_with_report(self, tmp_path, moons_file):
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", moons_file, "--method", "tlr-lrr",

@@ -255,6 +255,26 @@ class TestOperatorProperties:
             eigs = np.linalg.eigvalsh(op.matrix)
             assert eigs.min() >= -1e-8 * max(op.spectral_norm, 1.0)
 
+    def test_spectral_norm_matches_two_norm(self):
+        rng = np.random.default_rng(12)
+        obs = ObservationMatrix(rng.normal(size=(3, 40)))
+        a = rng.normal(size=(30, 30))
+        operators = [
+            locality_operator_from_hypergraph(
+                epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
+            ),
+            knn_graph_laplacian(obs, 4),
+            knn_hypergraph_laplacian(obs, 4),
+            LocalityOperator(-(a + a.T)),
+        ]
+        # the last is indefinite, and its largest |eigenvalue| is negative
+        eigs = np.linalg.eigvalsh(operators[-1].matrix)
+        assert -eigs.min() > eigs.max() > 0
+        for op in operators:
+            assert op.spectral_norm == pytest.approx(
+                np.linalg.norm(op.matrix, 2), rel=1e-12
+            )
+
     def test_max_cardinality(self):
         g = Hypergraph(3, (Hyperedge((0, 1), 1.0), Hyperedge((0, 1, 2), 1.0)))
         assert max_cardinality(g) == 3

@@ -12,6 +12,7 @@ from subspace_lrr import (
     solve,
     svt,
 )
+from subspace_lrr import solver
 from subspace_lrr.errors import InvalidInputError
 from subspace_lrr.solver import (
     SolverConfig,
@@ -35,6 +36,11 @@ def random_state(rng, m, n, mu):
         M2=rng.normal(size=(n, n)),
         mu=mu,
     )
+
+
+def primal_residual(state, observations):
+    y = observations.data
+    return y - y @ state.Z - state.E
 
 
 def smooth_objective(z, state, locality, observations, cfg):
@@ -117,7 +123,7 @@ class TestGradient:
             locality = locality_operator_from_hypergraph(graph)
             cfg = SolverConfig(beta=float(rng.uniform(0, 3)))
             state = random_state(rng, m, n, mu=float(rng.uniform(0.5, 2.0)))
-            grad = grad_q(state, locality, obs, cfg)
+            grad = grad_q(state, locality, obs, cfg, primal_residual(state, obs))
             fd = np.zeros_like(grad)
             for i in range(n):
                 for j in range(n):
@@ -145,7 +151,8 @@ class TestGradient:
             mu=1.0,
         )
         cfg = SolverConfig(beta=0.0)
-        grad = grad_q(state, LocalityOperator.zero(4), obs, cfg)
+        primal = primal_residual(state, obs)
+        grad = grad_q(state, LocalityOperator.zero(4), obs, cfg, primal)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_step_size_bound(self):
@@ -165,9 +172,10 @@ class TestUpdates:
         state = SolverState.initial(3, 4, cfg.mu0)
         y_norm2 = float(np.linalg.norm(obs.data, 2))
         eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
-        expected = svt(-grad_q(state, locality, obs, cfg) / eta1, 1.0 / eta1)
+        primal = primal_residual(state, obs)
+        expected = svt(-grad_q(state, locality, obs, cfg, primal) / eta1, 1.0 / eta1)
         np.testing.assert_allclose(
-            update_Z(state, locality, obs, cfg), expected, atol=1e-12
+            update_Z(state, locality, obs, cfg, eta1, primal), expected, atol=1e-12
         )
 
     def test_update_E_scalar_prox_oracle(self):
@@ -175,7 +183,8 @@ class TestUpdates:
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         cfg = SolverConfig(gamma=0.7)
         state = random_state(rng, 2, 3, mu=1.3)
-        out = update_E(state, obs, cfg)
+        fit = obs.data - obs.data @ state.Z
+        out = update_E(state, fit, cfg)
         resid = obs.data - obs.data @ state.Z + state.M1 / state.mu
         grid = np.linspace(-6.0, 6.0, 24001)
         for idx in np.ndindex(out.shape):
@@ -216,7 +225,7 @@ class TestUpdates:
             M1=rng.normal(size=(2, 3)), M2=rng.normal(size=(3, 3)), mu=1.0,
         )
         cfg = SolverConfig()
-        m1, m2, _ = update_multipliers(state, obs, cfg, 0.0, 0.0, 0.0)
+        m1, m2, _ = update_multipliers(state, primal_residual(state, obs), cfg, 0.0)
         np.testing.assert_allclose(m1, state.M1, atol=1e-12)
         np.testing.assert_allclose(m2, state.M2, atol=1e-12)
 
@@ -225,15 +234,16 @@ class TestUpdates:
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         cfg = SolverConfig()
         state = random_state(rng, 2, 3, mu=1.0)
+        primal = primal_residual(state, obs)
         # large iterate change: mu frozen
-        _, _, mu = update_multipliers(state, obs, cfg, 10.0, 0.0, 0.0)
+        _, _, mu = update_multipliers(state, primal, cfg, 10.0)
         assert mu == 1.0
         # small change: mu grows by rho0
-        _, _, mu = update_multipliers(state, obs, cfg, 0.0, 0.0, 0.0)
+        _, _, mu = update_multipliers(state, primal, cfg, 0.0)
         assert mu == pytest.approx(cfg.rho0)
         # cap binds
         state.mu = cfg.mu_max
-        _, _, mu = update_multipliers(state, obs, cfg, 0.0, 0.0, 0.0)
+        _, _, mu = update_multipliers(state, primal, cfg, 0.0)
         assert mu == cfg.mu_max
 
     def test_check_convergence(self):
@@ -245,19 +255,46 @@ class TestUpdates:
             Z=z, J=z.copy(), E=obs.data - obs.data @ z,
             M1=np.zeros((2, 3)), M2=np.zeros((3, 3)), mu=1.0,
         )
-        assert check_convergence(state, obs, cfg, 0.0, 0.0, 0.0)
-        # inclusive <= on the iterate-change side
-        assert check_convergence(state, obs, cfg, cfg.eps2, 0.0, 0.0)
-        assert not check_convergence(state, obs, cfg, 2 * cfg.eps2, 0.0, 0.0)
-        # infeasible state fails regardless of h values
+
+        def residual():
+            return np.linalg.norm(primal_residual(state, obs)) / np.linalg.norm(obs.data)
+
+        assert check_convergence(residual(), 0.0, cfg)
+        # inclusive <= on the iterate-change side, strict < on the residual side
+        assert check_convergence(residual(), cfg.eps2, cfg)
+        assert not check_convergence(residual(), 2 * cfg.eps2, cfg)
+        assert not check_convergence(cfg.eps1, 0.0, cfg)
+        # infeasible state fails regardless of the iterate change
         state.E = state.E + 1.0
-        assert not check_convergence(state, obs, cfg, 0.0, 0.0, 0.0)
-        with pytest.raises(InvalidInputError):
-            check_convergence(
-                SolverState.initial(2, 3, 1.0),
-                ObservationMatrix(np.zeros((2, 3))),
-                cfg, 0.0, 0.0, 0.0,
-            )
+        assert not check_convergence(residual(), 0.0, cfg)
+
+
+def check_loop_invariants(monkeypatch, obs, locality, cfg):
+    """Run the real `solve`, recording J and mu after every iteration.
+
+    J >= 0 each time, and mu0 <= mu, nondecreasing, <= mu_max. Each step
+    is called once per reported iteration.
+    """
+    js, mus = [], []
+    update_j, update_mult = solver.update_J, solver.update_multipliers
+
+    def traced_update_j(*args):
+        js.append(update_j(*args))
+        return js[-1]
+
+    def traced_update_mult(*args):
+        out = update_mult(*args)
+        mus.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "update_J", traced_update_j)
+    monkeypatch.setattr(solver, "update_multipliers", traced_update_mult)
+    report = solve(obs, locality, cfg)
+    assert len(js) == len(mus) == report.iterations
+    assert all(np.all(j >= 0) for j in js)
+    assert cfg.mu0 <= mus[0]
+    assert all(a <= b for a, b in zip(mus, mus[1:]))
+    assert mus[-1] <= cfg.mu_max
 
 
 class TestSolveLoop:
@@ -272,31 +309,18 @@ class TestSolveLoop:
         resid = np.linalg.norm(y - y @ report.Z - report.E) / np.linalg.norm(y)
         assert resid < 1e-6
 
-    def test_loop_invariants_each_iteration(self):
+    def test_loop_invariants_each_iteration(self, monkeypatch):
         # J >= 0 after every iteration; mu nondecreasing and capped
         rng = np.random.default_rng(14)
         obs = ObservationMatrix(rng.normal(size=(3, 8)))
         graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
         locality = locality_operator_from_hypergraph(graph)
-        cfg = SolverConfig(mu0=1.0, mu_max=5.0)
-        state = SolverState.initial(3, 8, cfg.mu0)
-        y_norm2 = float(np.linalg.norm(obs.data, 2))
-        mu_prev = state.mu
-        for _ in range(60):
-            eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
-            z_prev, j_prev, e_prev = state.Z, state.J, state.E
-            state.Z = update_Z(state, locality, obs, cfg, eta1, y_norm2)
-            state.E = update_E(state, obs, cfg)
-            state.J = update_J(state, cfg)
-            assert np.all(state.J >= 0)
-            h1 = eta1 * np.linalg.norm(state.Z - z_prev)
-            h2 = state.mu * np.linalg.norm(state.J - j_prev)
-            h3 = state.mu * np.linalg.norm(state.E - e_prev)
-            state.M1, state.M2, state.mu = update_multipliers(
-                state, obs, cfg, h1, h2, h3
-            )
-            assert mu_prev <= state.mu <= cfg.mu_max
-            mu_prev = state.mu
+        cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60)
+        check_loop_invariants(monkeypatch, obs, locality, cfg)
+
+    def test_all_zero_data_raises(self):
+        with pytest.raises(InvalidInputError):
+            solve(np.zeros((2, 3)))
 
     def test_separated_clusters_give_block_dominant_affinity(self):
         rng = np.random.default_rng(15)
