@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from .errors import InvalidInputError, InvalidParameterError, ParseError
 from .solver import SolverConfig, solve
 
 METHODS = ("kmeans", "ncut", "lrr", "graph-lrr", "lrlrr", "tlr-lrr")
-SOLVER_METHODS = ("lrr", "graph-lrr", "lrlrr", "tlr-lrr")
 
 # Method-side defaults; config file then CLI flags override these.
 DEFAULT_METHOD_PARAMS = {
@@ -104,7 +103,7 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         labels = clustering.ncut_spectral(_gaussian_affinity(obs), k, seed=seed)
     else:
         if cfg.beta > 0 and method == "lrr":
-            cfg = cfg.replace(beta=0.0)
+            cfg = replace(cfg, beta=0.0)
             report["solver_config"] = asdict(cfg)
         locality = build_locality(method, obs, params)
         result = solve(obs, locality, cfg)
@@ -137,23 +136,27 @@ def _jsonable(value):
 
 
 def _load_solver_config(config_path, overrides):
-    values = {}
-    method_params = {}
+    """SolverConfig and method parameters from a JSON file, then from the
+    non-None flags in `overrides`. Each value must have its default's type;
+    an int counts as a number, a bool never does."""
+    file_cfg = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        for key, val in file_cfg.items():
-            if key in DEFAULT_METHOD_PARAMS:
-                method_params[key] = val
-            else:
-                values[key] = val
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key in DEFAULT_METHOD_PARAMS:
-            method_params[key] = val
-        else:
-            values[key] = val
+        if not isinstance(file_cfg, dict):
+            raise InvalidParameterError("config file must hold a JSON object")
+    defaults = dict(asdict(SolverConfig()), **DEFAULT_METHOD_PARAMS)
+    flags = {key: val for key, val in overrides.items() if val is not None}
+    values = {}
+    method_params = {}
+    for key, val in [*file_cfg.items(), *flags.items()]:
+        if key not in defaults:
+            raise InvalidParameterError(f"unknown config key: {key!r}")
+        kind = type(defaults[key])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(val, bool) or not isinstance(val, allowed):
+            raise InvalidParameterError(f"config key {key!r} must be of type {kind.__name__}")
+        (method_params if key in DEFAULT_METHOD_PARAMS else values)[key] = val
     return SolverConfig(**values), method_params
 
 
@@ -271,7 +274,6 @@ def build_parser():
     clu.set_defaults(func=cmd_cluster)
 
     ben = sub.add_parser("benchmark", help="run the synthetic benchmark suite")
-    ben.add_argument("--suite", choices=["synthetic"], default="synthetic")
     ben.add_argument("--out-dir", required=True)
     ben.add_argument("--seed", type=int, default=0)
     ben.set_defaults(func=cmd_benchmark)

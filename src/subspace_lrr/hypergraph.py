@@ -6,7 +6,7 @@ clique expansion, to a symmetric PSD operator whose quadratic form
 tr(Z L Z^T) penalizes spread of coefficient columns over each neighborhood.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -105,7 +105,6 @@ class LocalityOperator:
     """Symmetric PSD matrix realizing a neighborhood-spread penalty."""
 
     matrix: np.ndarray
-    spectral_norm: float = field(init=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -117,11 +116,6 @@ class LocalityOperator:
         mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        # mat is symmetric, so ||mat||_2 is its largest |eigenvalue|
-        object.__setattr__(
-            self, "spectral_norm",
-            float(np.abs(np.linalg.eigvalsh(mat)).max()) if mat.size else 0.0,
-        )
 
     @property
     def n(self):

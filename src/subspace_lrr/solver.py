@@ -11,12 +11,16 @@ the iterate change are each computed once and handed to the later steps.
 """
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, InvalidParameterError, NumericalError
 from .hypergraph import LocalityOperator, ObservationMatrix
+
+# Safety factor of the step eta_1 over its validity bound
+# 2 beta ||L||_2 + mu (1 + ||Y||_2^2).
+ETA_MARGIN = 1.02
 
 
 @dataclass(frozen=True)
@@ -30,22 +34,16 @@ class SolverConfig:
     mu_max: float = 1e10    # penalty cap
     rho0: float = 1.1       # penalty growth factor
     max_iter: int = 1000
-    eta_margin: float = 1.02  # safety factor on the step-size bound
 
     def __post_init__(self):
         if self.lam < 0 or self.beta < 0 or self.gamma <= 0:
             raise InvalidInputError("lam, beta must be >= 0 and gamma > 0")
         if min(self.eps1, self.eps2, self.mu0) <= 0:
             raise InvalidInputError("tolerances and mu0 must be positive")
-        if self.rho0 <= 1 or self.eta_margin <= 1:
-            raise InvalidInputError("rho0 and eta_margin must exceed 1")
+        if self.rho0 <= 1:
+            raise InvalidInputError("rho0 must exceed 1")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be positive")
-
-    def replace(self, **kwargs):
-        values = asdict(self)
-        values.update(kwargs)
-        return SolverConfig(**values)
 
 
 @dataclass
@@ -87,45 +85,28 @@ def shrink(x, tau):
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def _svt_gram(a, tau):
-    """SVT via an eigendecomposition of the Gram matrix.
+def svt(a, tau):
+    """Singular value thresholding: soft-threshold the spectrum of a.
 
-    Faster than a direct SVD on larger inputs because the work shifts into
-    matrix products. Only safe for tau > 0: singular vectors for values
-    below tau are never formed, so their sqrt-precision loss is discarded.
-    Returns None if the eigensolver fails.
+    Works from an eigendecomposition of the Gram matrix on the shorter
+    side, so the work is matrix products. Singular vectors are formed only
+    for values above tau, which keeps the sqrt-precision loss of small
+    singular values out of the result.
     """
-    m, n = a.shape
-    if n > m:
-        out = _svt_gram(a.T, tau)
-        return None if out is None else out.T
+    if tau < 0:
+        raise InvalidParameterError("SVT threshold must be nonnegative")
+    wide = a.shape[1] > a.shape[0]
+    if wide:
+        a = a.T
     try:
         lam, v = np.linalg.eigh(a.T @ a)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("eigensolver failed during singular value thresholding") from exc
     s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > tau
-    if not np.any(keep):
-        return np.zeros_like(a)
     u = a @ (v[:, keep] / s[keep])
-    return (u * (s[keep] - tau)) @ v[:, keep].T
-
-
-def svt(a, tau):
-    """Singular value thresholding: soft-threshold the spectrum of a."""
-    if tau > 0 and min(a.shape) >= 64:
-        out = _svt_gram(a, tau)
-        if out is not None:
-            return out
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("SVD failed during singular value thresholding") from exc
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
-    if not np.any(keep):
-        return np.zeros_like(a)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+    out = (u * (s[keep] - tau)) @ v[:, keep].T
+    return out.T if wide else out
 
 
 def grad_q(state, locality, observations, cfg, primal):
@@ -138,16 +119,6 @@ def grad_q(state, locality, observations, cfg, primal):
     if cfg.beta != 0.0:
         out += 2.0 * cfg.beta * (state.Z @ locality.matrix)
     return out
-
-
-def step_size(beta, locality, mu, y_norm2, eta_margin):
-    """Linearization step eta_1, with a margin over its validity bound."""
-    return eta_margin * (2.0 * beta * locality.spectral_norm + mu * (1.0 + y_norm2**2))
-
-
-def update_Z(state, locality, observations, cfg, eta1, primal):
-    g = grad_q(state, locality, observations, cfg, primal)
-    return svt(state.Z - g / eta1, 1.0 / eta1)
 
 
 def update_E(state, fit, cfg):
@@ -195,6 +166,8 @@ def solve(observations, locality=None, cfg=None):
     if y_fro == 0:
         raise InvalidInputError("all-zero data matrix")
     y_norm2 = float(np.linalg.norm(y, 2))
+    # the operator is symmetric, so ||L||_2 is its largest |eigenvalue|
+    l_norm2 = float(np.abs(np.linalg.eigvalsh(locality.matrix)).max())
 
     state = SolverState.initial(m, n, cfg.mu0)
     primal = y  # Y - YZ - E at Z = 0, E = 0
@@ -204,10 +177,11 @@ def solve(observations, locality=None, cfg=None):
     t0 = time.perf_counter()
 
     for iterations in range(1, cfg.max_iter + 1):
-        eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
+        eta1 = ETA_MARGIN * (2.0 * cfg.beta * l_norm2 + state.mu * (1.0 + y_norm2**2))
 
         z_prev, j_prev, e_prev = state.Z, state.J, state.E
-        state.Z = update_Z(state, locality, observations, cfg, eta1, primal)
+        g = grad_q(state, locality, observations, cfg, primal)
+        state.Z = svt(state.Z - g / eta1, 1.0 / eta1)
         fit = y - y @ state.Z
         state.E = update_E(state, fit, cfg)
         state.J = update_J(state, cfg)

@@ -80,6 +80,7 @@ def lrr_dual_bound(y, laplacian, z, m1, m2, cfg):
     return t * np.sum(m1 * y) - cfg.beta * t**2 * np.trace(z @ laplacian @ z.T)
 
 
+@pytest.mark.slow
 def test_criterion_1_two_moons_reproduction(benchmark_runs):
     out_dir = benchmark_runs[0]
     tlr = read_report(out_dir, "tlr-lrr", "two-moons")
@@ -91,6 +92,7 @@ def test_criterion_1_two_moons_reproduction(benchmark_runs):
     assert tlr["wall_time_ms"] < 60_000
 
 
+@pytest.mark.slow
 def test_criterion_2_three_circles_reproduction(benchmark_runs):
     """On the frozen three-circles cell, the README objective's optimum
     mixes the rings, and the benchmark's tlr-lrr Z is close to that optimum.
@@ -276,7 +278,7 @@ def test_criterion_5_laplacian_oracle_suite():
             knn_graph_laplacian(obs, k),
             knn_hypergraph_laplacian(obs, k),
         ):
-            scale = max(op.spectral_norm, 1.0)
+            scale = max(np.linalg.norm(op.matrix, 2), 1.0)
             np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-12)
             np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-8 * scale)
             assert np.linalg.eigvalsh(op.matrix).min() >= -1e-8 * scale
@@ -303,29 +305,36 @@ def test_criterion_6_assignment_and_accuracy():
         assert accuracy(relabel[pred], truth) == pytest.approx(accuracy(pred, truth))
 
 
+@pytest.mark.slow
 def test_criterion_7_per_iteration_time_scaling():
     m = 100
     sizes = (100, 200, 400)
-    per_iteration = {}
+    cfg = SolverConfig(mu0=1.0, max_iter=60)
+    problems = {}
     for n in sizes:
         rng = np.random.default_rng(23)
         obs = ObservationMatrix(rng.normal(size=(m, n)))
         locality = locality_operator_from_hypergraph(
             epsilon_ball_hyperedges(obs, 0.05, mode="quantile")
         )
-        cfg = SolverConfig(mu0=1.0, max_iter=60)
         solve(obs, locality, cfg)  # warm-up
-        best = float("inf")
-        for _ in range(3):
+        problems[n] = (obs, locality)
+    # rounds interleave the sizes, so a slow spell on a shared machine
+    # lands on all of them rather than on one size's every repeat
+    per_iteration = dict.fromkeys(sizes, float("inf"))
+    for _ in range(5):
+        for n, (obs, locality) in problems.items():
             t0 = time.perf_counter()
             report = solve(obs, locality, cfg)
-            best = min(best, (time.perf_counter() - t0) / report.iterations)
-        per_iteration[n] = best
+            per_iteration[n] = min(
+                per_iteration[n], (time.perf_counter() - t0) / report.iterations
+            )
     for n1, n2 in zip(sizes, sizes[1:]):
         ratio = per_iteration[n2] / per_iteration[n1]
         assert ratio <= 1.3 * (n2 / n1) ** 2
 
 
+@pytest.mark.slow
 def test_criterion_8_benchmark_determinism(benchmark_runs):
     first = (benchmark_runs[0] / "summary.csv").read_bytes()
     second = (benchmark_runs[1] / "summary.csv").read_bytes()

@@ -103,7 +103,28 @@ class TestCluster:
                     "--k", 2, "--config", cfg_path])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        {"betta": 1},
+        {"eta_margin": 1.05},
+        [1, 2],
+        {"beta": "x"},
+        {"knn_k": "5"},
+        {"eps": "x"},
+        {"max_iter": 2.5},
+        {"gamma": True},
+    ], ids=["unknown-key", "removed-key", "list", "beta-str", "knn_k-str", "eps-str",
+            "max_iter-float", "gamma-bool"])
+    def test_ill_formed_config_exits_2(self, tmp_path, moons_file, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(content))
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", moons_file, "--method", "tlr-lrr", "--k", 2,
+                    "--config", cfg_path, "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+
     def test_unknown_method_exits_2(self, moons_file):
         with pytest.raises(SystemExit) as err:
             run(["cluster", "--input", moons_file, "--method", "dbscan", "--k", 2])
         assert err.value.code == 2
+

@@ -7,23 +7,23 @@ from subspace_lrr import (
     LocalityOperator,
     ObservationMatrix,
     epsilon_ball_hyperedges,
+    knn_graph_laplacian,
+    knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
     shrink,
     solve,
     svt,
 )
 from subspace_lrr import solver
-from subspace_lrr.errors import InvalidInputError
+from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 from subspace_lrr.solver import (
     SolverConfig,
     SolverState,
     check_convergence,
     grad_q,
-    step_size,
     update_E,
     update_J,
     update_multipliers,
-    update_Z,
 )
 
 
@@ -110,6 +110,27 @@ class TestProximalOperators:
             probe = out + rng.normal(size=out.shape) * rng.uniform(1e-4, 0.3)
             assert objective(probe) >= base - 1e-9
 
+    # tall, wide and square, on both sides of 64; full rank and rank-deficient
+    @pytest.mark.parametrize("m, n, rank", [
+        (5, 3, 3), (4, 6, 4), (30, 30, 30), (100, 100, 100),
+        (5, 3, 1), (4, 6, 2), (30, 30, 7), (100, 100, 12), (70, 90, 5),
+    ])
+    def test_svt_matches_svd_reference(self, m, n, rank):
+        rng = np.random.default_rng(m * n + rank)
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        norm = s[0]
+        for tau in norm * np.array([0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.99, 1.0, 1.5]):
+            expected = (u * np.maximum(s - tau, 0.0)) @ vt
+            out = svt(a, tau)
+            assert out.shape == a.shape
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9 * norm)
+            np.testing.assert_allclose(svt(a.T, tau), out.T, rtol=0, atol=1e-9 * norm)
+
+    def test_svt_negative_threshold_raises(self):
+        with pytest.raises(InvalidParameterError):
+            svt(np.eye(3), -1e-3)
+
 
 class TestGradient:
     def test_gradient_matches_finite_differences(self):
@@ -155,28 +176,43 @@ class TestGradient:
         grad = grad_q(state, LocalityOperator.zero(4), obs, cfg, primal)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
-    def test_step_size_bound(self):
-        zero = LocalityOperator.zero(3)
-        assert step_size(0.0, zero, 1.0, 0.0, 1.02) == pytest.approx(1.02)
-        assert step_size(0.0, zero, 2.0, 3.0, 1.02) == pytest.approx(1.02 * 2 * 10)
-        # strictly increasing in mu
-        assert step_size(1.0, zero, 2.0, 1.0, 1.02) > step_size(1.0, zero, 1.0, 1.0, 1.02)
+
+    def test_step_size_bound(self, monkeypatch):
+        # with no locality term, solve thresholds at 1 / eta1 = 1 / (1.02 mu (1 + ||Y||_2^2)),
+        # so the threshold falls as mu grows and settles at mu_max
+        rng = np.random.default_rng(7)
+        obs = ObservationMatrix(rng.normal(size=(3, 6)))
+        cfg = SolverConfig(mu0=1.0, mu_max=4.0, eps2=1e6, max_iter=30)
+        taus = []
+        real_svt = solver.svt
+
+        def traced_svt(a, tau):
+            taus.append(tau)
+            return real_svt(a, tau)
+
+        monkeypatch.setattr(solver, "svt", traced_svt)
+        solve(obs, None, cfg)
+        y_norm2 = np.linalg.norm(obs.data, 2)
+        for tau, mu in ((taus[0], cfg.mu0), (taus[-1], cfg.mu_max)):
+            assert tau == pytest.approx(1.0 / (1.02 * mu * (1.0 + y_norm2**2)), rel=1e-12)
+        assert all(b <= a for a, b in zip(taus, taus[1:]))
 
 
 class TestUpdates:
     def test_update_Z_composes_primitives(self):
+        # solve's first Z is SVT(-grad_q / eta1, 1 / eta1) taken from the zero state
         rng = np.random.default_rng(7)
         obs = ObservationMatrix(rng.normal(size=(3, 4)))
-        locality = LocalityOperator.zero(4)
-        cfg = SolverConfig()
+        locality = knn_graph_laplacian(obs, 2)
+        cfg = SolverConfig(mu0=1.0, max_iter=1)
         state = SolverState.initial(3, 4, cfg.mu0)
+        l_norm2 = float(np.linalg.norm(locality.matrix, 2))
         y_norm2 = float(np.linalg.norm(obs.data, 2))
-        eta1 = step_size(cfg.beta, locality, state.mu, y_norm2, cfg.eta_margin)
+        eta1 = 1.02 * (2.0 * cfg.beta * l_norm2 + cfg.mu0 * (1.0 + y_norm2**2))
         primal = primal_residual(state, obs)
         expected = svt(-grad_q(state, locality, obs, cfg, primal) / eta1, 1.0 / eta1)
-        np.testing.assert_allclose(
-            update_Z(state, locality, obs, cfg, eta1, primal), expected, atol=1e-12
-        )
+        assert np.abs(expected).max() > 1e-3  # the threshold keeps part of the step
+        np.testing.assert_allclose(solve(obs, locality, cfg).Z, expected, atol=1e-12)
 
     def test_update_E_scalar_prox_oracle(self):
         rng = np.random.default_rng(8)
@@ -273,7 +309,7 @@ def check_loop_invariants(monkeypatch, obs, locality, cfg):
     """Run the real `solve`, recording J and mu after every iteration.
 
     J >= 0 each time, and mu0 <= mu, nondecreasing, <= mu_max. Each step
-    is called once per reported iteration.
+    is called once per reported iteration. Returns mu after each iteration.
     """
     js, mus = [], []
     update_j, update_mult = solver.update_J, solver.update_multipliers
@@ -295,6 +331,16 @@ def check_loop_invariants(monkeypatch, obs, locality, cfg):
     assert cfg.mu0 <= mus[0]
     assert all(a <= b for a, b in zip(mus, mus[1:]))
     assert mus[-1] <= cfg.mu_max
+    return mus
+
+
+def indefinite_operator(n, rng):
+    """-(A + A^T): symmetric, indefinite, largest |eigenvalue| negative."""
+    a = rng.normal(size=(n, n))
+    op = LocalityOperator(-(a + a.T))
+    eigs = np.linalg.eigvalsh(op.matrix)
+    assert -eigs.min() > eigs.max() > 0
+    return op
 
 
 class TestSolveLoop:
@@ -317,6 +363,65 @@ class TestSolveLoop:
         locality = locality_operator_from_hypergraph(graph)
         cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60)
         check_loop_invariants(monkeypatch, obs, locality, cfg)
+
+    def test_penalty_grows_to_its_cap(self, monkeypatch):
+        # same data as above; eps2 = 1e6 makes every iterate change small
+        rng = np.random.default_rng(14)
+        obs = ObservationMatrix(rng.normal(size=(3, 8)))
+        graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
+        locality = locality_operator_from_hypergraph(graph)
+        cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60, eps2=1e6)
+        mus = check_loop_invariants(monkeypatch, obs, locality, cfg)
+        assert any(a < b for a, b in zip([cfg.mu0, *mus], mus))
+        assert mus[-1] == cfg.mu_max
+
+    @pytest.mark.parametrize("builder", [
+        lambda obs, rng: locality_operator_from_hypergraph(
+            epsilon_ball_hyperedges(obs, 0.3, mode="quantile")),
+        lambda obs, rng: knn_graph_laplacian(obs, 3),
+        lambda obs, rng: knn_hypergraph_laplacian(obs, 3),
+        lambda obs, rng: indefinite_operator(obs.n, rng),
+        lambda obs, rng: None,
+    ], ids=["eps-ball", "knn-graph", "knn-hypergraph", "indefinite", "none"])
+    def test_z_step_is_svt_of_gradient_step(self, monkeypatch, builder):
+        """Every iteration's Z is SVT(Z - grad_q / eta1, 1 / eta1) with
+        eta1 = 1.02 (2 beta ||L||_2 + mu (1 + ||Y||_2^2)) at that iteration's mu."""
+        rng = np.random.default_rng(18)
+        obs = ObservationMatrix(rng.normal(size=(3, 10)))
+        locality = builder(obs, rng)
+        l_norm2 = 0.0 if locality is None else np.linalg.norm(locality.matrix, 2)
+        y_norm2 = np.linalg.norm(obs.data, 2)
+        # eps2 = 1e6 lets mu grow, so the step changes from one iteration to the next
+        cfg = SolverConfig(beta=2.0, mu0=1.0, mu_max=4.0, eps2=1e6, max_iter=25)
+        svt_calls, grads, mus = [], [], [cfg.mu0]
+        real_svt, real_grad_q, real_mult = solver.svt, solver.grad_q, solver.update_multipliers
+
+        def traced_svt(a, tau):
+            svt_calls.append((a, tau, real_svt(a, tau)))
+            return svt_calls[-1][2]
+
+        def traced_grad_q(*args):
+            grads.append(real_grad_q(*args))
+            return grads[-1]
+
+        def traced_mult(*args):
+            out = real_mult(*args)
+            mus.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver, "svt", traced_svt)
+        monkeypatch.setattr(solver, "grad_q", traced_grad_q)
+        monkeypatch.setattr(solver, "update_multipliers", traced_mult)
+        report = solve(obs, locality, cfg)
+        assert len(svt_calls) == len(grads) == report.iterations
+        assert len(set(mus)) > 1
+        z_prev = np.zeros((obs.n, obs.n))
+        for (a, tau, z), g, mu in zip(svt_calls, grads, mus):
+            eta1 = 1.02 * (2.0 * cfg.beta * l_norm2 + mu * (1.0 + y_norm2**2))
+            assert tau == pytest.approx(1.0 / eta1, rel=1e-12)
+            np.testing.assert_allclose(a, z_prev - g / eta1, rtol=0, atol=1e-12)
+            z_prev = z
+        np.testing.assert_array_equal(report.Z, z_prev)
 
     def test_all_zero_data_raises(self):
         with pytest.raises(InvalidInputError):
