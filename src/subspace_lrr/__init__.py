@@ -10,7 +10,6 @@ from .hypergraph import (
     knn_graph_laplacian,
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
-    max_cardinality,
 )
 from .solver import SolveReport, SolverConfig, SolverState, shrink, solve, svt
 from .clustering import affinity_from_coefficients, kmeans, ncut_spectral
@@ -43,7 +42,6 @@ __all__ = [
     "knn_hypergraph_laplacian",
     "load_dataset",
     "locality_operator_from_hypergraph",
-    "max_cardinality",
     "ncut_spectral",
     "save_dataset",
     "shrink",

@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from .errors import InvalidInputError, InvalidParameterError, ParseError
 from .solver import SolverConfig, solve
 
 METHODS = ("kmeans", "ncut", "lrr", "graph-lrr", "lrlrr", "tlr-lrr")
+GENERATORS = {"two-moons": datasets.two_moons, "three-circles": datasets.three_circles}
 
 # Method-side defaults; config file then CLI flags override these.
 DEFAULT_METHOD_PARAMS = {
@@ -102,9 +103,6 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
     elif method == "ncut":
         labels = clustering.ncut_spectral(_gaussian_affinity(obs), k, seed=seed)
     else:
-        if cfg.beta > 0 and method == "lrr":
-            cfg = replace(cfg, beta=0.0)
-            report["solver_config"] = asdict(cfg)
         locality = build_locality(method, obs, params)
         result = solve(obs, locality, cfg)
         affinity = clustering.affinity_from_coefficients(result.Z)
@@ -163,11 +161,9 @@ def _load_solver_config(config_path, overrides):
 def cmd_generate(args):
     if args.dataset == "two-moons":
         ds = datasets.two_moons(args.n, args.noise, args.seed)
-    elif args.dataset == "three-circles":
+    else:
         radii = tuple(args.radii) if args.radii else (1.0, 2.0, 3.0)
         ds = datasets.three_circles(args.n, radii, args.noise, args.seed)
-    else:
-        raise InvalidParameterError(f"unknown dataset: {args.dataset!r}")
     datasets.save_dataset(ds, args.out)
     return 0
 
@@ -177,9 +173,8 @@ def cmd_cluster(args):
         ds = datasets.load_dataset(args.input)
     except OSError as exc:
         raise InvalidInputError(f"reading input: {exc}") from exc
-    overrides = {"eps": args.eps, "eps_mode": args.eps_mode, "knn_k": args.knn_k}
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
+    overrides = {"eps": args.eps, "eps_mode": args.eps_mode, "knn_k": args.knn_k,
+                 "max_iter": args.max_iter}
     cfg, method_params = _load_solver_config(args.config, overrides)
     report, _ = run_method(
         ds, args.method, args.k, cfg, method_params, seed=args.seed
@@ -200,15 +195,10 @@ def cmd_benchmark(args):
     except OSError as exc:
         raise InvalidInputError(f"creating output directory: {exc}") from exc
 
-    generators = {
-        "two-moons": datasets.two_moons,
-        "three-circles": datasets.three_circles,
-    }
-
     summary = {}
     cell = 0
     for ds_name, spec in BENCHMARK_CONFIG.items():
-        ds = generators[ds_name](seed=args.seed, **spec["generator"])
+        ds = GENERATORS[ds_name](seed=args.seed, **spec["generator"])
         k = spec["k"]
         cfg = SolverConfig(**spec["solver"])
         method_params = spec["method_params"]
@@ -252,7 +242,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset file")
-    gen.add_argument("dataset", choices=["two-moons", "three-circles"])
+    gen.add_argument("dataset", choices=GENERATORS)
     gen.add_argument("--n", type=int, default=100, help="points per cluster")
     gen.add_argument("--noise", type=float, default=0.06)
     gen.add_argument("--radii", type=float, nargs=3, default=None)

@@ -93,11 +93,7 @@ class Hypergraph:
     @property
     def p(self):
         """Maximum hyperedge cardinality (0 for an edgeless hypergraph)."""
-        return max_cardinality(self)
-
-
-def max_cardinality(graph):
-    return max((len(e) for e in graph.edges), default=0)
+        return max((len(e) for e in self.edges), default=0)
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,6 @@ class LocalityOperator:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    @classmethod
-    def zero(cls, n):
-        return cls(np.zeros((n, n)))
 
     def quadratic_form(self, z):
         """tr(Z L Z^T) for a coefficient matrix Z with columns z_i."""

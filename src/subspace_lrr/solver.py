@@ -11,12 +11,12 @@ the iterate change are each computed once and handed to the later steps.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
-from .hypergraph import LocalityOperator, ObservationMatrix
+from .hypergraph import ObservationMatrix
 
 # Safety factor of the step eta_1 over its validity bound
 # 2 beta ||L||_2 + mu (1 + ||Y||_2^2).
@@ -36,12 +36,16 @@ class SolverConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in astuple(self)):
+            raise InvalidInputError("solver parameters must be finite")
         if self.lam < 0 or self.beta < 0 or self.gamma <= 0:
             raise InvalidInputError("lam, beta must be >= 0 and gamma > 0")
         if min(self.eps1, self.eps2, self.mu0) <= 0:
             raise InvalidInputError("tolerances and mu0 must be positive")
         if self.rho0 <= 1:
             raise InvalidInputError("rho0 must exceed 1")
+        if self.mu_max < self.mu0:
+            raise InvalidInputError("mu_max must be at least mu0")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be positive")
 
@@ -116,7 +120,7 @@ def grad_q(state, locality, observations, cfg, primal):
     """
     out = state.mu * (state.Z - state.J + state.M2 / state.mu)
     out -= state.mu * (observations.data.T @ (primal + state.M1 / state.mu))
-    if cfg.beta != 0.0:
+    if locality is not None:
         out += 2.0 * cfg.beta * (state.Z @ locality.matrix)
     return out
 
@@ -127,7 +131,8 @@ def update_E(state, fit, cfg):
 
 
 def update_J(state, cfg):
-    return np.maximum(shrink(state.Z + state.M2 / state.mu, cfg.lam / state.mu), 0.0)
+    """Prox of lam ||J||_1 + indicator(J >= 0): one clip at lam / mu."""
+    return np.maximum(state.Z + state.M2 / state.mu - cfg.lam / state.mu, 0.0)
 
 
 def update_multipliers(state, primal, cfg, change):
@@ -146,8 +151,8 @@ def check_convergence(residual, change, cfg):
 def solve(observations, locality=None, cfg=None):
     """Run the full alternating loop from zero initialization.
 
-    The plain low-rank model is this with beta = 0 (or a zero operator);
-    graph- and hypergraph-regularized variants differ only in `locality`.
+    With `locality=None` (or beta = 0) this is plain low-rank representation
+    and beta has no effect; the other variants differ only in `locality`.
     Non-convergence at max_iter is reported, not raised.
     """
     if isinstance(observations, np.ndarray):
@@ -156,10 +161,10 @@ def solve(observations, locality=None, cfg=None):
     m, n = observations.m, observations.n
     if n < 2:
         raise InvalidInputError("need at least two observations")
-    if locality is None:
-        locality = LocalityOperator.zero(n)
-    if locality.n != n:
+    if locality is not None and locality.n != n:
         raise InvalidInputError("locality operator dimension mismatch")
+    if cfg.beta == 0:
+        locality = None
 
     y = observations.data
     y_fro = float(np.linalg.norm(y))
@@ -167,7 +172,7 @@ def solve(observations, locality=None, cfg=None):
         raise InvalidInputError("all-zero data matrix")
     y_norm2 = float(np.linalg.norm(y, 2))
     # the operator is symmetric, so ||L||_2 is its largest |eigenvalue|
-    l_norm2 = float(np.abs(np.linalg.eigvalsh(locality.matrix)).max())
+    l_norm2 = 0.0 if locality is None else float(np.abs(np.linalg.eigvalsh(locality.matrix)).max())
 
     state = SolverState.initial(m, n, cfg.mu0)
     primal = y  # Y - YZ - E at Z = 0, E = 0

@@ -174,21 +174,11 @@ def test_criterion_3_subspaces_with_outlier():
 
 
 def test_criterion_4_solver_invariant_suite(monkeypatch):
-    from test_solver import check_loop_invariants
+    from test_solver import check_loop_invariants, smooth_objective
 
     rng = np.random.default_rng(20)
 
     # gradient of the smooth objective vs central finite differences
-    def smooth(z, state, locality, obs, cfg):
-        y = obs.data
-        r1 = y - y @ z - state.E + state.M1 / state.mu
-        r2 = z - state.J + state.M2 / state.mu
-        return (
-            cfg.beta * float(np.trace(z @ locality.matrix @ z.T))
-            + 0.5 * state.mu * float(np.sum(r1 * r1))
-            + 0.5 * state.mu * float(np.sum(r2 * r2))
-        )
-
     step = 1e-5
     for _ in range(20):
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -210,8 +200,8 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
             zp[i, j] += step
             zm[i, j] -= step
             fd[i, j] = (
-                smooth(zp, state, locality, obs, cfg)
-                - smooth(zm, state, locality, obs, cfg)
+                smooth_objective(zp, state, locality, obs, cfg)
+                - smooth_objective(zm, state, locality, obs, cfg)
             ) / (2 * step)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
 

@@ -96,6 +96,16 @@ class TestCluster:
         assert report["solver_config"]["lam"] == 0.5   # from the config file
         assert report["iterations"] == 5               # flag beats the file
 
+    def test_lrr_report_records_the_given_beta(self, tmp_path, moons_file):
+        # plain lrr has no locality term, so beta has no effect, but the
+        # report still records the config exactly as given
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"beta": 5.0, "max_iter": 2}))
+        report_path = tmp_path / "report.json"
+        run(["cluster", "--input", moons_file, "--method", "lrr", "--k", 2,
+             "--config", cfg_path, "--report", report_path])
+        assert json.loads(report_path.read_text())["solver_config"]["beta"] == 5.0
+
     def test_bad_config_file_exits_2(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -112,8 +122,10 @@ class TestCluster:
         {"eps": "x"},
         {"max_iter": 2.5},
         {"gamma": True},
+        {"gamma": float("nan")},
+        {"mu0": 1.0, "mu_max": 0.01},
     ], ids=["unknown-key", "removed-key", "list", "beta-str", "knn_k-str", "eps-str",
-            "max_iter-float", "gamma-bool"])
+            "max_iter-float", "gamma-bool", "gamma-nan", "mu_max-below-mu0"])
     def test_ill_formed_config_exits_2(self, tmp_path, moons_file, content):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(content))

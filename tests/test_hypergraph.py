@@ -6,14 +6,12 @@ import pytest
 from subspace_lrr import (
     Hyperedge,
     Hypergraph,
-    LocalityOperator,
     ObservationMatrix,
     epsilon_ball_hyperedges,
     hyperedge_weight,
     knn_graph_laplacian,
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
-    max_cardinality,
 )
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 
@@ -256,10 +254,5 @@ class TestOperatorProperties:
 
     def test_max_cardinality(self):
         g = Hypergraph(3, (Hyperedge((0, 1), 1.0), Hyperedge((0, 1, 2), 1.0)))
-        assert max_cardinality(g) == 3
-        assert max_cardinality(Hypergraph(3, ())) == 0
-
-    def test_zero_operator(self):
-        op = LocalityOperator.zero(5)
-        assert np.linalg.norm(op.matrix, 2) == 0.0
-        assert op.quadratic_form(np.ones((2, 5))) == 0.0
+        assert g.p == 3
+        assert Hypergraph(3, ()).p == 0

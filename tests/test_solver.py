@@ -1,7 +1,12 @@
 """Solver primitives against independent oracles, plus loop invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subspace_lrr import (
     LocalityOperator,
@@ -173,7 +178,7 @@ class TestGradient:
         )
         cfg = SolverConfig(beta=0.0)
         primal = primal_residual(state, obs)
-        grad = grad_q(state, LocalityOperator.zero(4), obs, cfg, primal)
+        grad = grad_q(state, None, obs, cfg, primal)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
 
@@ -251,6 +256,20 @@ class TestUpdates:
         state = SolverState.initial(2, 2, 1.0)
         state.Z = np.full((2, 2), 2 * cfg.lam)
         np.testing.assert_allclose(update_J(state, cfg), np.full((2, 2), cfg.lam))
+
+    @settings(deadline=None)  # a shared machine can stall one example past the default
+    @given(
+        z=arrays(np.float64, (3, 3), elements=st.floats(-1e6, 1e6)),
+        m2=arrays(np.float64, (3, 3), elements=st.floats(-1e6, 1e6)),
+        mu=st.floats(1.0, 1e3),
+        lam=st.floats(0.0, 1e3),
+    )
+    def test_update_J_is_nonnegative_soft_threshold(self, z, m2, mu, lam):
+        # the one clip max(x - tau, 0) equals max(shrink(x, tau), 0) entry by entry
+        state = SolverState(z, np.zeros((3, 3)), np.zeros((2, 3)), np.zeros((2, 3)), m2, mu)
+        cfg = SolverConfig(lam=lam)
+        expected = np.maximum(shrink(z + m2 / mu, lam / mu), 0.0)
+        np.testing.assert_array_equal(update_J(state, cfg), expected)
 
     def test_multipliers_feasible_fixed_point(self):
         rng = np.random.default_rng(10)
@@ -341,6 +360,15 @@ def indefinite_operator(n, rng):
     eigs = np.linalg.eigvalsh(op.matrix)
     assert -eigs.min() > eigs.max() > 0
     return op
+
+
+def assert_same_solve(a, b):
+    """Two solve reports agree byte for byte in every iterate and history."""
+    for name in ("Z", "E", "M1", "M2"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.residual_history == b.residual_history
+    assert a.change_history == b.change_history
+    assert a.iterations == b.iterations
 
 
 class TestSolveLoop:
@@ -458,6 +486,22 @@ class TestSolveLoop:
         assert not report.converged
         assert report.iterations == 2
 
+    def test_no_operator_ignores_beta(self):
+        rng = np.random.default_rng(19)
+        obs = ObservationMatrix(rng.normal(size=(3, 8)))
+        cfg = SolverConfig(beta=10.0, mu0=1.0, max_iter=50)
+        plain = solve(obs, None, replace(cfg, beta=0.0))
+        assert_same_solve(solve(obs, None, cfg), plain)
+
+    def test_zero_beta_drops_the_operator(self):
+        rng = np.random.default_rng(20)
+        obs = ObservationMatrix(rng.normal(size=(3, 8)))
+        graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
+        locality = locality_operator_from_hypergraph(graph)
+        assert np.abs(locality.matrix).max() > 0
+        cfg = SolverConfig(beta=0.0, mu0=1.0, max_iter=50)
+        assert_same_solve(solve(obs, locality, cfg), solve(obs, None, cfg))
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(gamma=0.0)
@@ -465,3 +509,7 @@ class TestSolveLoop:
             SolverConfig(rho0=1.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(mu0=0.0)
+        for bad in ({"gamma": np.nan}, {"beta": np.inf}, {"lam": -np.inf},
+                    {"mu_max": np.inf}, {"eps1": np.nan}, {"mu0": 1.0, "mu_max": 0.01}):
+            with pytest.raises(InvalidInputError):
+                SolverConfig(**bad)
