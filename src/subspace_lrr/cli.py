@@ -88,11 +88,11 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
     report = {
         "method": method,
         "dataset": dataset.name,
-        "generator_params": _jsonable(dataset.generator_params),
+        "generator_params": dict(dataset.generator_params),
         "seed": seed,
         "k": k,
         "solver_config": asdict(cfg),
-        "method_params": _jsonable(params),
+        "method_params": params,
         "converged": True,  # the baselines run no solver; a solve overwrites these
         "iterations": 0,
         "residual_history": [],
@@ -113,24 +113,15 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         report["residual_history"] = result.residual_history
 
     report["labels"] = [int(v) for v in labels]
-    if dataset.labels is not None:
-        report["accuracy"] = metrics.accuracy(labels, dataset.labels)
-    else:
-        report["accuracy"] = None
+    report["accuracy"] = None if dataset.labels is None else metrics.accuracy(labels, dataset.labels)
     report["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
     return report, coefficients
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+def _write_report(report, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_solver_config(config_path, overrides):
@@ -159,20 +150,16 @@ def _load_solver_config(config_path, overrides):
 
 
 def cmd_generate(args):
-    if args.dataset == "two-moons":
-        ds = datasets.two_moons(args.n, args.noise, args.seed)
-    else:
-        radii = tuple(args.radii) if args.radii else (1.0, 2.0, 3.0)
-        ds = datasets.three_circles(args.n, radii, args.noise, args.seed)
+    extra = {} if args.radii is None else {"radii": args.radii}
+    if extra and args.dataset != "three-circles":
+        raise InvalidParameterError("--radii applies to three-circles only")
+    ds = GENERATORS[args.dataset](args.n, noise_sigma=args.noise, seed=args.seed, **extra)
     datasets.save_dataset(ds, args.out)
     return 0
 
 
 def cmd_cluster(args):
-    try:
-        ds = datasets.load_dataset(args.input)
-    except OSError as exc:
-        raise InvalidInputError(f"reading input: {exc}") from exc
+    ds = datasets.load_dataset(args.input)
     overrides = {"eps": args.eps, "eps_mode": args.eps_mode, "knn_k": args.knn_k,
                  "max_iter": args.max_iter}
     cfg, method_params = _load_solver_config(args.config, overrides)
@@ -180,9 +167,7 @@ def cmd_cluster(args):
         ds, args.method, args.k, cfg, method_params, seed=args.seed
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_report(report, args.report)
     if report["accuracy"] is not None:
         print(f"{args.method} accuracy: {report['accuracy']!r}")
     return 0 if report["converged"] else 3
@@ -190,10 +175,7 @@ def cmd_cluster(args):
 
 def cmd_benchmark(args):
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidInputError(f"creating output directory: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = {}
     cell = 0
@@ -207,9 +189,7 @@ def cmd_benchmark(args):
             report, coefficients = run_method(
                 ds, method, k, cfg, method_params, seed=cell_seed
             )
-            with open(out_dir / f"{method}_{ds_name}.json", "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+            _write_report(report, out_dir / f"{method}_{ds_name}.json")
             if coefficients is not None:
                 np.savetxt(
                     out_dir / f"{method}_{ds_name}_Z.txt", coefficients, fmt="%.17g"
@@ -217,12 +197,9 @@ def cmd_benchmark(args):
             summary.setdefault(method, {})[ds_name] = report["accuracy"]
             cell += 1
 
-    lines = ["method,two-moons,three-circles"]
+    lines = [",".join(["method", *BENCHMARK_CONFIG])]
     for method in METHODS:
-        row = summary[method]
-        lines.append(
-            f"{method},{row['two-moons']!r},{row['three-circles']!r}"
-        )
+        lines.append(",".join([method, *map(repr, summary[method].values())]))
     misses = []
     if summary["tlr-lrr"]["two-moons"] < 0.95:
         misses.append("tlr-lrr two-moons below 0.95")
@@ -275,7 +252,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InvalidParameterError, ParseError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, InvalidParameterError, ParseError, OSError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

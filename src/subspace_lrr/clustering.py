@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalError
+from .errors import InvalidInputError, InvalidParameterError, NumericalError
 
 # Added to zero rows of the affinity degree so D^{-1/2} stays finite.
 DEGREE_FLOOR = 1e-12
@@ -42,7 +42,6 @@ def _lloyd(x, k, rng):
     n = x.shape[0]
     centers = _plus_plus_init(x, k, rng)
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=int)
     for _ in range(KMEANS_MAX_ITER):
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
@@ -89,11 +88,14 @@ def ncut_spectral(w, k, seed=0):
 
     Embeds points into the k bottom eigenvectors of the symmetric
     normalized Laplacian, row-normalizes, and clusters with seeded k-means.
+    An all-zero affinity is rejected: any labels drawn from it are arbitrary.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
     if not (2 <= k <= n):
         raise InvalidParameterError(f"k must be in [2, {n}]")
+    if not np.any(w):
+        raise InvalidInputError("affinity is all zero, so it has no structure to cut")
     deg = w.sum(axis=1)
     deg = np.where(deg > 0, deg, DEGREE_FLOOR)
     d_inv_sqrt = 1.0 / np.sqrt(deg)

@@ -28,6 +28,23 @@ class LabeledDataset:
             object.__setattr__(self, "labels", labels)
 
 
+def _noisy_clusters(name, blocks, noise_sigma, seed, params):
+    """Clean cluster blocks, one label each, plus seeded Gaussian noise.
+    `params` come first in generator_params, then noise_sigma and seed."""
+    if noise_sigma < 0:
+        raise InvalidParameterError("noise_sigma must be nonnegative")
+    data = np.concatenate(blocks, axis=1)
+    if noise_sigma > 0:
+        data = data + np.random.default_rng(seed).normal(0.0, noise_sigma, size=data.shape)
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    return LabeledDataset(
+        ObservationMatrix(data),
+        labels,
+        name=name,
+        generator_params={**params, "noise_sigma": noise_sigma, "seed": seed},
+    )
+
+
 def two_moons(n_per_moon=100, noise_sigma=0.06, seed=0):
     """Two interleaved half-circles with Gaussian jitter.
 
@@ -35,24 +52,11 @@ def two_moons(n_per_moon=100, noise_sigma=0.06, seed=0):
     """
     if n_per_moon < 2:
         raise InvalidParameterError("n_per_moon must be at least 2")
-    if noise_sigma < 0:
-        raise InvalidParameterError("noise_sigma must be nonnegative")
     theta = np.linspace(0.0, np.pi, n_per_moon)
     moon0 = np.stack([np.cos(theta), np.sin(theta)])
     moon1 = np.stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)])
-    data = np.concatenate([moon0, moon1], axis=1)
-    rng = np.random.default_rng(seed)
-    data = data + rng.normal(0.0, noise_sigma, size=data.shape) if noise_sigma > 0 else data
-    labels = np.repeat([0, 1], n_per_moon)
-    return LabeledDataset(
-        ObservationMatrix(data),
-        labels,
-        name="two-moons",
-        generator_params={
-            "n_per_moon": n_per_moon,
-            "noise_sigma": noise_sigma,
-            "seed": seed,
-        },
+    return _noisy_clusters(
+        "two-moons", [moon0, moon1], noise_sigma, seed, {"n_per_moon": n_per_moon}
     )
 
 
@@ -60,27 +64,14 @@ def three_circles(n_per_circle=66, radii=(1.0, 2.0, 3.0), noise_sigma=0.05, seed
     """Three concentric noisy circles, one cluster per radius."""
     if n_per_circle < 3:
         raise InvalidParameterError("n_per_circle must be at least 3")
-    if noise_sigma < 0:
-        raise InvalidParameterError("noise_sigma must be nonnegative")
     radii = tuple(float(r) for r in radii)
     if len(radii) != 3 or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
         raise InvalidParameterError("radii must be three strictly increasing positive reals")
     theta = np.linspace(0.0, 2.0 * np.pi, n_per_circle, endpoint=False)
     ring = np.stack([np.cos(theta), np.sin(theta)])
-    data = np.concatenate([r * ring for r in radii], axis=1)
-    rng = np.random.default_rng(seed)
-    data = data + rng.normal(0.0, noise_sigma, size=data.shape) if noise_sigma > 0 else data
-    labels = np.repeat([0, 1, 2], n_per_circle)
-    return LabeledDataset(
-        ObservationMatrix(data),
-        labels,
-        name="three-circles",
-        generator_params={
-            "n_per_circle": n_per_circle,
-            "radii": radii,
-            "noise_sigma": noise_sigma,
-            "seed": seed,
-        },
+    return _noisy_clusters(
+        "three-circles", [r * ring for r in radii], noise_sigma, seed,
+        {"n_per_circle": n_per_circle, "radii": radii},
     )
 
 

@@ -10,7 +10,6 @@ stop test, dual ascent. fit, primal, the residual ||primal|| / ||Y||_F and
 the iterate change are each computed once and handed to the later steps.
 """
 
-import time
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -81,7 +80,6 @@ class SolveReport:
     change_history: list = field(repr=False)
     M1: np.ndarray = field(repr=False)  # final multipliers of Y = YZ + E
     M2: np.ndarray = field(repr=False)  # and of Z = J
-    wall_time_s: float = 0.0
 
 
 def shrink(x, tau):
@@ -179,7 +177,6 @@ def solve(observations, locality=None, cfg=None):
     residual_history = []
     change_history = []
     converged = False
-    t0 = time.perf_counter()
 
     for iterations in range(1, cfg.max_iter + 1):
         eta1 = ETA_MARGIN * (2.0 * cfg.beta * l_norm2 + state.mu * (1.0 + y_norm2**2))
@@ -215,5 +212,4 @@ def solve(observations, locality=None, cfg=None):
         change_history=change_history,
         M1=state.M1,
         M2=state.M2,
-        wall_time_s=time.perf_counter() - t0,
     )

@@ -23,13 +23,11 @@ from subspace_lrr import (
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
     ncut_spectral,
-    shrink,
     solve,
-    svt,
     three_circles,
 )
 from subspace_lrr.cli import BENCHMARK_CONFIG, main
-from subspace_lrr.solver import SolverConfig, SolverState, grad_q
+from subspace_lrr.solver import SolverConfig, SolverState
 
 SEED = 0
 
@@ -174,12 +172,16 @@ def test_criterion_3_subspaces_with_outlier():
 
 
 def test_criterion_4_solver_invariant_suite(monkeypatch):
-    from test_solver import check_loop_invariants, smooth_objective
+    from test_solver import (
+        assert_gradient_matches_finite_differences,
+        assert_shrink_minimizes_on_grid,
+        assert_svt_beats_perturbations,
+        check_loop_invariants,
+    )
 
     rng = np.random.default_rng(20)
 
     # gradient of the smooth objective vs central finite differences
-    step = 1e-5
     for _ in range(20):
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         obs = ObservationMatrix(rng.normal(size=(m, n)))
@@ -192,37 +194,15 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
             E=rng.normal(size=(m, n)), M1=rng.normal(size=(m, n)),
             M2=rng.normal(size=(n, n)), mu=float(rng.uniform(0.5, 2.0)),
         )
-        primal = obs.data - obs.data @ state.Z - state.E
-        grad = grad_q(state, locality, obs, cfg, primal)
-        fd = np.zeros_like(grad)
-        for i, j in np.ndindex(n, n):
-            zp, zm = state.Z.copy(), state.Z.copy()
-            zp[i, j] += step
-            zm[i, j] -= step
-            fd[i, j] = (
-                smooth_objective(zp, state, locality, obs, cfg)
-                - smooth_objective(zm, state, locality, obs, cfg)
-            ) / (2 * step)
-        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
+        assert_gradient_matches_finite_differences(state, locality, obs, cfg)
 
     # proximal oracles for the two thresholding primitives
     a = rng.normal(size=(6, 4))
     tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
-    out = svt(a, tau)
-
-    def nuclear_obj(x):
-        return tau * np.linalg.svd(x, compute_uv=False).sum() + 0.5 * np.sum((x - a) ** 2)
-
-    base = nuclear_obj(out)
-    for _ in range(1000):
-        probe = out + rng.normal(size=out.shape) * rng.uniform(1e-4, 0.3)
-        assert nuclear_obj(probe) >= base - 1e-9
-    grid = np.linspace(-5, 5, 20001)
+    assert_svt_beats_perturbations(a, tau, rng)
     for _ in range(10):
         r, t = float(rng.uniform(-3, 3)), float(rng.uniform(0, 2))
-        assert shrink(r, t) == pytest.approx(
-            grid[np.argmin(t * np.abs(grid) + 0.5 * (grid - r) ** 2)], abs=1e-3
-        )
+        assert_shrink_minimizes_on_grid(r, t)
 
     # loop invariants on a live run: J >= 0 each iteration, mu monotone/capped
     obs = ObservationMatrix(rng.normal(size=(3, 8)))
@@ -245,17 +225,18 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
 
 
 def test_criterion_5_laplacian_oracle_suite():
-    from test_hypergraph import brute_force_quadratic, random_hypergraph
+    from test_hypergraph import (
+        assert_laplacian_properties,
+        assert_quadratic_form_matches_brute_force,
+        random_hypergraph,
+    )
 
     rng = np.random.default_rng(21)
     for _ in range(100):
         n = int(rng.integers(3, 9))
         graph = random_hypergraph(rng, n)
-        op = locality_operator_from_hypergraph(graph)
         z = rng.normal(size=(int(rng.integers(1, 5)), n))
-        assert op.quadratic_form(z) == pytest.approx(
-            brute_force_quadratic(graph, z), rel=1e-10, abs=1e-12
-        )
+        assert_quadratic_form_matches_brute_force(graph, z)
 
     for _ in range(10):
         n = int(rng.integers(4, 30))
@@ -268,10 +249,7 @@ def test_criterion_5_laplacian_oracle_suite():
             knn_graph_laplacian(obs, k),
             knn_hypergraph_laplacian(obs, k),
         ):
-            scale = max(np.linalg.norm(op.matrix, 2), 1.0)
-            np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-12)
-            np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-8 * scale)
-            assert np.linalg.eigvalsh(op.matrix).min() >= -1e-8 * scale
+            assert_laplacian_properties(op)
 
 
 def test_criterion_6_assignment_and_accuracy():

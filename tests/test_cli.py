@@ -36,6 +36,12 @@ class TestGenerate:
         code = run(["generate", "two-moons", "--out", tmp_path / "no" / "x.csv"])
         assert code == 2
 
+    def test_radii_on_two_moons_exits_2(self, tmp_path):
+        out = tmp_path / "r.csv"
+        code = run(["generate", "two-moons", "--n", 5, "--radii", 1, 2, 3, "--out", out])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestCluster:
     @pytest.fixture()
@@ -76,12 +82,20 @@ class TestCluster:
     def test_nonconvergence_exits_3_with_report(self, tmp_path, moons_file):
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", moons_file, "--method", "tlr-lrr",
-                    "--k", 2, "--max-iter", 2, "--eps", 0.2,
+                    "--k", 2, "--max-iter", 5, "--eps", 0.2,
                     "--eps-mode", "quantile", "--report", report_path])
         assert code == 3
         report = json.loads(report_path.read_text())
         assert report["converged"] is False
-        assert report["iterations"] == 2
+        assert report["iterations"] == 5
+
+    def test_all_zero_coefficients_exit_2_without_report(self, tmp_path, moons_file):
+        # one iteration at the default mu0 leaves Z = 0, so NCut has nothing to cut
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", moons_file, "--method", "lrr", "--k", 2,
+                    "--max-iter", 1, "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"
@@ -100,11 +114,29 @@ class TestCluster:
         # plain lrr has no locality term, so beta has no effect, but the
         # report still records the config exactly as given
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"beta": 5.0, "max_iter": 2}))
+        cfg_path.write_text(json.dumps({"beta": 5.0, "max_iter": 5}))
         report_path = tmp_path / "report.json"
         run(["cluster", "--input", moons_file, "--method", "lrr", "--k", 2,
              "--config", cfg_path, "--report", report_path])
         assert json.loads(report_path.read_text())["solver_config"]["beta"] == 5.0
+
+    def test_non_utf8_input_exits_2(self, tmp_path):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"dim_0,dim_1\n0.5,\xff\n1.0,2.0\n")
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", "kmeans", "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, moons_file):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"lam": 0.5\xff}')
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", moons_file, "--method", "lrr", "--k", 2,
+                    "--config", cfg_path, "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
 
     def test_bad_config_file_exits_2(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral
-from subspace_lrr.errors import InvalidParameterError
+from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 
 
 def block_affinity(rng, sizes, within=1.0, cross=0.0):
@@ -88,6 +88,11 @@ class TestNcut:
             ncut_spectral(w, 5, seed=0)
         with pytest.raises(InvalidParameterError):
             ncut_spectral(w, 1, seed=0)
+
+    def test_all_zero_affinity_raises(self):
+        # L_sym = I has no preferred eigenvectors, so any labels would be arbitrary
+        with pytest.raises(InvalidInputError):
+            ncut_spectral(np.zeros((4, 4)), 2, seed=0)
 
 
 class TestKmeans:

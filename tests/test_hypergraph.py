@@ -40,6 +40,21 @@ def brute_force_quadratic(graph, z):
     return total
 
 
+def assert_quadratic_form_matches_brute_force(graph, z):
+    op = locality_operator_from_hypergraph(graph)
+    assert op.quadratic_form(z) == pytest.approx(
+        brute_force_quadratic(graph, z), rel=1e-10, abs=1e-12
+    )
+
+
+def assert_laplacian_properties(op):
+    """Symmetric, zero row sums and PSD, to tolerances scaled by ||L||_2."""
+    scale = max(np.linalg.norm(op.matrix, 2), 1.0)
+    np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-12)
+    np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-8 * scale)
+    assert np.linalg.eigvalsh(op.matrix).min() >= -1e-8 * scale
+
+
 class TestEpsilonBall:
     def test_three_point_line(self):
         obs = ObservationMatrix([[0.0, 0.04, 0.08]])
@@ -161,11 +176,8 @@ class TestCliqueExpansion:
         for _ in range(100):
             n = int(rng.integers(3, 9))
             graph = random_hypergraph(rng, n)
-            op = locality_operator_from_hypergraph(graph)
             z = rng.normal(size=(int(rng.integers(1, 5)), n))
-            expected = brute_force_quadratic(graph, z)
-            got = op.quadratic_form(z)
-            assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            assert_quadratic_form_matches_brute_force(graph, z)
 
 
 class TestKnnLaplacians:
@@ -246,11 +258,7 @@ class TestOperatorProperties:
             operators.append(knn_graph_laplacian(obs, k))
             operators.append(knn_hypergraph_laplacian(obs, k))
         for op in operators:
-            scale = max(np.linalg.norm(op.matrix, 2), 1.0)
-            np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-12)
-            np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-8 * scale)
-            eigs = np.linalg.eigvalsh(op.matrix)
-            assert eigs.min() >= -1e-8 * scale
+            assert_laplacian_properties(op)
 
     def test_max_cardinality(self):
         g = Hypergraph(3, (Hyperedge((0, 1), 1.0), Hyperedge((0, 1, 2), 1.0)))

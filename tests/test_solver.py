@@ -59,6 +59,43 @@ def smooth_objective(z, state, locality, observations, cfg):
     return val
 
 
+def assert_gradient_matches_finite_differences(state, locality, observations, cfg):
+    """grad_q at state.Z against central differences of smooth_objective."""
+    step = 1e-5
+    grad = grad_q(state, locality, observations, cfg, primal_residual(state, observations))
+    fd = np.zeros_like(grad)
+    for i, j in np.ndindex(grad.shape):
+        zp, zm = state.Z.copy(), state.Z.copy()
+        zp[i, j] += step
+        zm[i, j] -= step
+        fd[i, j] = (
+            smooth_objective(zp, state, locality, observations, cfg)
+            - smooth_objective(zm, state, locality, observations, cfg)
+        ) / (2 * step)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
+
+
+def assert_shrink_minimizes_on_grid(r, tau):
+    """shrink(r, tau) minimizes tau |e| + (e - r)^2 / 2 over a fine grid."""
+    grid = np.linspace(-5.0, 5.0, 20001)
+    objective = tau * np.abs(grid) + 0.5 * (grid - r) ** 2
+    assert shrink(r, tau) == pytest.approx(grid[np.argmin(objective)], abs=1e-3)
+
+
+def assert_svt_beats_perturbations(a, tau, rng):
+    """svt(a, tau) must beat 1000 random perturbations of itself on
+    tau ||X||_* + 0.5 ||X - A||_F^2."""
+    out = svt(a, tau)
+
+    def objective(x):
+        return tau * np.linalg.svd(x, compute_uv=False).sum() + 0.5 * np.sum((x - a) ** 2)
+
+    base = objective(out)
+    for _ in range(1000):
+        probe = out + rng.normal(size=out.shape) * rng.uniform(1e-4, 0.3)
+        assert objective(probe) >= base - 1e-9
+
+
 class TestProximalOperators:
     def test_shrink_values(self):
         assert shrink(3.0, 1.0) == 2.0
@@ -70,15 +107,11 @@ class TestProximalOperators:
         np.testing.assert_array_equal(shrink(x, 0.0), x)
 
     def test_shrink_scalar_prox_oracle(self):
-        # shrink(r, tau) minimizes tau|e| + (e - r)^2 / 2 over a fine grid
         rng = np.random.default_rng(1)
-        grid = np.linspace(-5.0, 5.0, 20001)
         for _ in range(20):
             r = float(rng.uniform(-3, 3))
             tau = float(rng.uniform(0, 2))
-            objective = tau * np.abs(grid) + 0.5 * (grid - r) ** 2
-            best = grid[np.argmin(objective)]
-            assert shrink(r, tau) == pytest.approx(best, abs=1e-3)
+            assert_shrink_minimizes_on_grid(r, tau)
 
     def test_svt_identity_and_diagonal(self):
         rng = np.random.default_rng(2)
@@ -98,22 +131,10 @@ class TestProximalOperators:
         np.testing.assert_allclose(s_out, np.maximum(s_in - tau, 0.0), atol=1e-10)
 
     def test_svt_proximal_optimality_probe(self):
-        # the output must beat 1000 random perturbations of itself on
-        # tau ||X||_* + 0.5 ||X - A||_F^2
         rng = np.random.default_rng(4)
         a = rng.normal(size=(6, 4))
         tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
-        out = svt(a, tau)
-
-        def objective(x):
-            return tau * np.linalg.svd(x, compute_uv=False).sum() + 0.5 * np.sum(
-                (x - a) ** 2
-            )
-
-        base = objective(out)
-        for _ in range(1000):
-            probe = out + rng.normal(size=out.shape) * rng.uniform(1e-4, 0.3)
-            assert objective(probe) >= base - 1e-9
+        assert_svt_beats_perturbations(a, tau, rng)
 
     # tall, wide and square, on both sides of 64; full rank and rank-deficient
     @pytest.mark.parametrize("m, n, rank", [
@@ -140,7 +161,6 @@ class TestProximalOperators:
 class TestGradient:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        step = 1e-5
         for _ in range(20):
             m = int(rng.integers(2, 7))
             n = int(rng.integers(2, 7))
@@ -149,20 +169,7 @@ class TestGradient:
             locality = locality_operator_from_hypergraph(graph)
             cfg = SolverConfig(beta=float(rng.uniform(0, 3)))
             state = random_state(rng, m, n, mu=float(rng.uniform(0.5, 2.0)))
-            grad = grad_q(state, locality, obs, cfg, primal_residual(state, obs))
-            fd = np.zeros_like(grad)
-            for i in range(n):
-                for j in range(n):
-                    zp = state.Z.copy()
-                    zp[i, j] += step
-                    zm = state.Z.copy()
-                    zm[i, j] -= step
-                    sp = SolverState(zp, state.J, state.E, state.M1, state.M2, state.mu)
-                    fd[i, j] = (
-                        smooth_objective(zp, sp, locality, obs, cfg)
-                        - smooth_objective(zm, sp, locality, obs, cfg)
-                    ) / (2 * step)
-            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
+            assert_gradient_matches_finite_differences(state, locality, obs, cfg)
 
     def test_gradient_zero_at_feasible_stationary_point(self):
         rng = np.random.default_rng(6)
