@@ -6,7 +6,6 @@ from .hypergraph import (
     LocalityOperator,
     ObservationMatrix,
     epsilon_ball_hyperedges,
-    hyperedge_weight,
     knn_graph_laplacian,
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
@@ -36,7 +35,6 @@ __all__ = [
     "confusion_matrix",
     "epsilon_ball_hyperedges",
     "hungarian",
-    "hyperedge_weight",
     "kmeans",
     "knn_graph_laplacian",
     "knn_hypergraph_laplacian",

@@ -130,8 +130,11 @@ def _load_solver_config(config_path, overrides):
     an int counts as a number, a bool never does."""
     file_cfg = {}
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{config_path} is not valid UTF-8: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise InvalidParameterError("config file must hold a JSON object")
     defaults = dict(asdict(SolverConfig()), **DEFAULT_METHOD_PARAMS)
@@ -253,7 +256,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (InvalidInputError, InvalidParameterError, ParseError, OSError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

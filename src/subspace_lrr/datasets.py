@@ -31,8 +31,8 @@ class LabeledDataset:
 def _noisy_clusters(name, blocks, noise_sigma, seed, params):
     """Clean cluster blocks, one label each, plus seeded Gaussian noise.
     `params` come first in generator_params, then noise_sigma and seed."""
-    if noise_sigma < 0:
-        raise InvalidParameterError("noise_sigma must be nonnegative")
+    if not noise_sigma >= 0:
+        raise InvalidParameterError("noise_sigma must be a nonnegative number")
     data = np.concatenate(blocks, axis=1)
     if noise_sigma > 0:
         data = data + np.random.default_rng(seed).normal(0.0, noise_sigma, size=data.shape)
@@ -93,8 +93,11 @@ def save_dataset(dataset, path):
 
 def load_dataset(path, name=None):
     """Read a dataset file back; inverse of save_dataset."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not valid UTF-8: {exc}") from None
     if not raw:
         raise ParseError("empty file", 1)
     header = raw[0].split(",")

@@ -6,6 +6,7 @@ clique expansion, to a symmetric PSD operator whose quadratic form
 tr(Z L Z^T) penalizes spread of coefficient columns over each neighborhood.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,14 @@ class Hyperedge:
     weight: float
 
     def __post_init__(self):
-        verts = tuple(int(v) for v in self.vertices)
+        try:
+            verts = tuple(map(operator.index, self.vertices))
+        except TypeError:
+            raise InvalidInputError("hyperedge vertex ids must be integers") from None
         if len(verts) < 2:
             raise InvalidInputError("hyperedge needs at least two vertices")
-        if any(b <= a for a, b in zip(verts, verts[1:])):
-            raise InvalidInputError("hyperedge vertices must be strictly increasing")
+        if verts[0] < 0 or any(b <= a for a, b in zip(verts, verts[1:])):
+            raise InvalidInputError("hyperedge vertex ids must be nonnegative, strictly increasing")
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise InvalidInputError("hyperedge weight must be positive and finite")
         object.__setattr__(self, "vertices", verts)
@@ -89,11 +93,6 @@ class Hypergraph:
                 raise InvalidInputError("duplicate hyperedge vertex sets")
             seen.add(e.vertices)
         object.__setattr__(self, "edges", edges)
-
-    @property
-    def p(self):
-        """Maximum hyperedge cardinality (0 for an edgeless hypergraph)."""
-        return max((len(e) for e in self.edges), default=0)
 
 
 @dataclass(frozen=True)
@@ -135,15 +134,6 @@ def _edge_weights(points, members, sizes):
     pts -= np.repeat(centroids, sizes, axis=1)
     total = sizes * np.add.reduceat(np.sum(pts * pts, axis=0), starts)
     return (1.0 / sizes) / np.maximum(total, WEIGHT_FLOOR)
-
-
-def hyperedge_weight(vertices, observations):
-    """Density weight of an edge: (1/c) over the summed squared pair
-    distances, clamped to WEIGHT_FLOOR for near-coincident vertex sets."""
-    verts = list(vertices)
-    if len(verts) < 2:
-        raise InvalidInputError("hyperedge weight needs at least two vertices")
-    return float(_edge_weights(observations.data, verts, [len(verts)])[0])
 
 
 def epsilon_ball_hyperedges(observations, eps, mode="absolute"):

@@ -20,6 +20,10 @@ from .hypergraph import ObservationMatrix
 # Safety factor of the step eta_1 over its validity bound
 # 2 beta ||L||_2 + mu (1 + ||Y||_2^2).
 ETA_MARGIN = 1.02
+EPS1 = 1e-6     # relative feasibility tolerance
+EPS2 = 1e-4     # iterate-change tolerance
+RHO0 = 1.1      # penalty growth factor
+MU_MAX = 1e10   # penalty cap
 
 
 @dataclass(frozen=True)
@@ -27,24 +31,22 @@ class SolverConfig:
     lam: float = 0.01       # l1 weight on J
     beta: float = 10.0      # locality weight
     gamma: float = 1.1      # l1 weight on the error matrix
-    eps1: float = 1e-6      # relative feasibility tolerance
-    eps2: float = 1e-4      # iterate-change tolerance
     mu0: float = 1e-2       # initial penalty
-    mu_max: float = 1e10    # penalty cap
-    rho0: float = 1.1       # penalty growth factor
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in astuple(self)):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise InvalidInputError("max_iter must be an integer")
+        try:
+            values = [float(v) for v in astuple(self)]
+        except OverflowError:
+            raise InvalidInputError("solver parameters must fit in a float") from None
+        if not all(np.isfinite(values)):
             raise InvalidInputError("solver parameters must be finite")
         if self.lam < 0 or self.beta < 0 or self.gamma <= 0:
             raise InvalidInputError("lam, beta must be >= 0 and gamma > 0")
-        if min(self.eps1, self.eps2, self.mu0) <= 0:
-            raise InvalidInputError("tolerances and mu0 must be positive")
-        if self.rho0 <= 1:
-            raise InvalidInputError("rho0 must exceed 1")
-        if self.mu_max < self.mu0:
-            raise InvalidInputError("mu_max must be at least mu0")
+        if not 0 < self.mu0 <= MU_MAX:
+            raise InvalidInputError(f"mu0 must lie in (0, {MU_MAX:g}]")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be positive")
 
@@ -133,17 +135,17 @@ def update_J(state, cfg):
     return np.maximum(state.Z + state.M2 / state.mu - cfg.lam / state.mu, 0.0)
 
 
-def update_multipliers(state, primal, cfg, change):
+def update_multipliers(state, primal, change):
     """Dual ascent on both constraints plus the conditional penalty growth."""
     m1 = state.M1 + state.mu * primal
     m2 = state.M2 + state.mu * (state.Z - state.J)
-    rho = cfg.rho0 if change <= cfg.eps2 else 1.0
-    mu = min(cfg.mu_max, rho * state.mu)
+    rho = RHO0 if change <= EPS2 else 1.0
+    mu = min(MU_MAX, rho * state.mu)
     return m1, m2, mu
 
 
-def check_convergence(residual, change, cfg):
-    return residual < cfg.eps1 and change <= cfg.eps2
+def check_convergence(residual, change):
+    return residual < EPS1 and change <= EPS2
 
 
 def solve(observations, locality=None, cfg=None):
@@ -197,9 +199,9 @@ def solve(observations, locality=None, cfg=None):
         residual = float(np.linalg.norm(primal) / y_fro)
         residual_history.append(residual)
         change_history.append(change)
-        converged = check_convergence(residual, change, cfg)
+        converged = check_convergence(residual, change)
 
-        state.M1, state.M2, state.mu = update_multipliers(state, primal, cfg, change)
+        state.M1, state.M2, state.mu = update_multipliers(state, primal, change)
         if converged:
             break
 

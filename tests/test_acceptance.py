@@ -26,6 +26,7 @@ from subspace_lrr import (
     solve,
     three_circles,
 )
+from subspace_lrr import solver
 from subspace_lrr.cli import BENCHMARK_CONFIG, main
 from subspace_lrr.solver import SolverConfig, SolverState
 
@@ -209,8 +210,9 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
     locality = locality_operator_from_hypergraph(
         epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
     )
-    cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60)
+    cfg = SolverConfig(mu0=1.0, max_iter=60)
     with monkeypatch.context() as patch:
+        patch.setattr(solver, "MU_MAX", 5.0)
         check_loop_invariants(patch, obs, locality, cfg)
 
     # a converged run really meets both stopping conditions
@@ -220,8 +222,8 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
     report = solve(ObservationMatrix(y), None, cfg)
     assert report.converged
     resid = np.linalg.norm(y - y @ report.Z - report.E) / np.linalg.norm(y)
-    assert resid < cfg.eps1
-    assert report.change_history[-1] <= cfg.eps2
+    assert resid < solver.EPS1
+    assert report.change_history[-1] <= solver.EPS2
 
 
 def test_criterion_5_laplacian_oracle_suite():

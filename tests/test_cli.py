@@ -36,6 +36,12 @@ class TestGenerate:
         code = run(["generate", "two-moons", "--out", tmp_path / "no" / "x.csv"])
         assert code == 2
 
+    def test_nan_noise_exits_2(self, tmp_path):
+        out = tmp_path / "nan.csv"
+        code = run(["generate", "two-moons", "--n", 5, "--noise", "nan", "--out", out])
+        assert code == 2
+        assert not out.exists()
+
     def test_radii_on_two_moons_exits_2(self, tmp_path):
         out = tmp_path / "r.csv"
         code = run(["generate", "two-moons", "--n", 5, "--radii", 1, 2, 3, "--out", out])
@@ -120,7 +126,7 @@ class TestCluster:
              "--config", cfg_path, "--report", report_path])
         assert json.loads(report_path.read_text())["solver_config"]["beta"] == 5.0
 
-    def test_non_utf8_input_exits_2(self, tmp_path):
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_bytes(b"dim_0,dim_1\n0.5,\xff\n1.0,2.0\n")
         report_path = tmp_path / "report.json"
@@ -128,8 +134,9 @@ class TestCluster:
                     "--report", report_path])
         assert code == 2
         assert not report_path.exists()
+        assert str(data) in capsys.readouterr().err
 
-    def test_non_utf8_config_exits_2(self, tmp_path, moons_file):
+    def test_non_utf8_config_exits_2(self, tmp_path, moons_file, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"lam": 0.5\xff}')
         report_path = tmp_path / "report.json"
@@ -137,6 +144,7 @@ class TestCluster:
                     "--config", cfg_path, "--report", report_path])
         assert code == 2
         assert not report_path.exists()
+        assert str(cfg_path) in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"
@@ -148,6 +156,7 @@ class TestCluster:
     @pytest.mark.parametrize("content", [
         {"betta": 1},
         {"eta_margin": 1.05},
+        {"rho0": 1.1},
         [1, 2],
         {"beta": "x"},
         {"knn_k": "5"},
@@ -155,9 +164,11 @@ class TestCluster:
         {"max_iter": 2.5},
         {"gamma": True},
         {"gamma": float("nan")},
-        {"mu0": 1.0, "mu_max": 0.01},
-    ], ids=["unknown-key", "removed-key", "list", "beta-str", "knn_k-str", "eps-str",
-            "max_iter-float", "gamma-bool", "gamma-nan", "mu_max-below-mu0"])
+        {"lam": 10**400},
+        {"mu0": 1e11},
+    ], ids=["unknown-key", "removed-key", "removed-key-rho0", "list", "beta-str", "knn_k-str",
+            "eps-str", "max_iter-float", "gamma-bool", "gamma-nan", "lam-too-large",
+            "mu0-above-cap"])
     def test_ill_formed_config_exits_2(self, tmp_path, moons_file, content):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(content))

@@ -52,6 +52,8 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError):
             two_moons(noise_sigma=-0.1)
         with pytest.raises(InvalidParameterError):
+            two_moons(noise_sigma=float("nan"))
+        with pytest.raises(InvalidParameterError):
             three_circles(radii=(3.0, 2.0, 1.0))
         with pytest.raises(InvalidParameterError):
             three_circles(n_per_circle=2)

@@ -8,7 +8,6 @@ from subspace_lrr import (
     Hypergraph,
     ObservationMatrix,
     epsilon_ball_hyperedges,
-    hyperedge_weight,
     knn_graph_laplacian,
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
@@ -60,20 +59,20 @@ class TestEpsilonBall:
         obs = ObservationMatrix([[0.0, 0.04, 0.08]])
         graph = epsilon_ball_hyperedges(obs, 0.05)
         assert {e.vertices for e in graph.edges} == {(0, 1), (0, 1, 2), (1, 2)}
-        assert graph.p == 3
+        assert max(map(len, graph.edges)) == 3
 
     def test_far_points_give_empty_graph(self):
         obs = ObservationMatrix([[0.0, 1.0]])
         graph = epsilon_ball_hyperedges(obs, 0.5)
         assert graph.edges == ()
-        assert graph.p == 0
+        assert max(map(len, graph.edges), default=0) == 0
 
     def test_identical_points_merge_to_one_edge(self):
         obs = ObservationMatrix(np.ones((2, 5)))
         graph = epsilon_ball_hyperedges(obs, 0.3)
         assert len(graph.edges) == 1
         assert graph.edges[0].vertices == (0, 1, 2, 3, 4)
-        assert graph.p == 5
+        assert max(map(len, graph.edges)) == 5
         # coincident points hit the degenerate-distance clamp
         assert graph.edges[0].weight == pytest.approx((1 / 5) * 1e12)
 
@@ -119,26 +118,28 @@ class TestEpsilonBall:
             ObservationMatrix([[0.0, np.nan]])
 
 
+def ball_edge_weight(points, vertices, eps):
+    """Weight of the edge on `vertices` that epsilon_ball_hyperedges builds."""
+    graph = epsilon_ball_hyperedges(ObservationMatrix(points), eps)
+    return {e.vertices: e.weight for e in graph.edges}[vertices]
+
+
 class TestHyperedgeWeight:
     def test_pair_at_distance_half(self):
-        obs = ObservationMatrix([[0.0, 0.5]])
-        assert hyperedge_weight((0, 1), obs) == pytest.approx(2.0)
+        assert ball_edge_weight([[0.0, 0.5]], (0, 1), 1.0) == pytest.approx(2.0)
 
     def test_equilateral_triangle(self):
-        obs = ObservationMatrix(
-            [[0.0, 1.0, 0.5], [0.0, 0.0, np.sqrt(3) / 2]]
-        )
-        assert hyperedge_weight((0, 1, 2), obs) == pytest.approx(1 / 9)
+        points = [[0.0, 1.0, 0.5], [0.0, 0.0, np.sqrt(3) / 2]]
+        assert ball_edge_weight(points, (0, 1, 2), 1.5) == pytest.approx(1 / 9)
 
     def test_coincident_pair_clamped(self):
-        obs = ObservationMatrix([[1.0, 1.0]])
-        assert hyperedge_weight((0, 1), obs) == pytest.approx(0.5e12)
+        assert ball_edge_weight([[1.0, 1.0]], (0, 1), 0.5) == pytest.approx(0.5e12)
 
     def test_edge_weights_match_pair_loop(self):
         rng = np.random.default_rng(4)
         obs = ObservationMatrix(rng.normal(size=(3, 30)))
         graph = epsilon_ball_hyperedges(obs, 0.2, mode="quantile")
-        assert graph.p > 2
+        assert max(map(len, graph.edges)) > 2
         for e in graph.edges:
             pair_sum = sum(
                 float(np.sum((obs.data[:, i] - obs.data[:, j]) ** 2))
@@ -146,10 +147,30 @@ class TestHyperedgeWeight:
             )
             assert e.weight == pytest.approx(1 / len(e) / pair_sum, rel=1e-12)
 
-    def test_rejects_singleton(self):
-        obs = ObservationMatrix([[0.0, 0.5]])
+
+class TestHyperedge:
+    @pytest.mark.parametrize("vertices, weight", [
+        ((0,), 1.0),
+        ((1, 0), 1.0),
+        ((0, 1), 0.0),
+        ((0, 1), -1.0),
+        ((0, 1), np.inf),
+        ((0, 1), np.nan),
+        ((0, 1.7), 1.0),
+        ((-1, 0), 1.0),
+    ], ids=["singleton", "unsorted", "zero-weight", "negative-weight", "inf-weight",
+            "nan-weight", "non-integral-id", "negative-id"])
+    def test_rejects_malformed_edge(self, vertices, weight):
         with pytest.raises(InvalidInputError):
-            hyperedge_weight((0,), obs)
+            Hyperedge(vertices, weight)
+
+    def test_rejects_out_of_range_vertex(self):
+        with pytest.raises(InvalidInputError):
+            Hypergraph(2, (Hyperedge((0, 2), 1.0),))
+
+    def test_rejects_duplicate_edges(self):
+        with pytest.raises(InvalidInputError):
+            Hypergraph(3, (Hyperedge((0, 1), 1.0), Hyperedge((0, 1), 2.0)))
 
 
 class TestCliqueExpansion:
@@ -259,8 +280,3 @@ class TestOperatorProperties:
             operators.append(knn_hypergraph_laplacian(obs, k))
         for op in operators:
             assert_laplacian_properties(op)
-
-    def test_max_cardinality(self):
-        g = Hypergraph(3, (Hyperedge((0, 1), 1.0), Hyperedge((0, 1, 2), 1.0)))
-        assert g.p == 3
-        assert Hypergraph(3, ()).p == 0

@@ -1,6 +1,6 @@
 """Solver primitives against independent oracles, plus loop invariants."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -191,10 +191,12 @@ class TestGradient:
 
     def test_step_size_bound(self, monkeypatch):
         # with no locality term, solve thresholds at 1 / eta1 = 1 / (1.02 mu (1 + ||Y||_2^2)),
-        # so the threshold falls as mu grows and settles at mu_max
+        # so the threshold falls as mu grows and settles at MU_MAX
         rng = np.random.default_rng(7)
         obs = ObservationMatrix(rng.normal(size=(3, 6)))
-        cfg = SolverConfig(mu0=1.0, mu_max=4.0, eps2=1e6, max_iter=30)
+        monkeypatch.setattr(solver, "MU_MAX", 4.0)
+        monkeypatch.setattr(solver, "EPS2", 1e6)
+        cfg = SolverConfig(mu0=1.0, max_iter=30)
         taus = []
         real_svt = solver.svt
 
@@ -205,7 +207,7 @@ class TestGradient:
         monkeypatch.setattr(solver, "svt", traced_svt)
         solve(obs, None, cfg)
         y_norm2 = np.linalg.norm(obs.data, 2)
-        for tau, mu in ((taus[0], cfg.mu0), (taus[-1], cfg.mu_max)):
+        for tau, mu in ((taus[0], cfg.mu0), (taus[-1], solver.MU_MAX)):
             assert tau == pytest.approx(1.0 / (1.02 * mu * (1.0 + y_norm2**2)), rel=1e-12)
         assert all(b <= a for a, b in zip(taus, taus[1:]))
 
@@ -286,32 +288,29 @@ class TestUpdates:
             Z=z, J=z.copy(), E=obs.data - obs.data @ z,
             M1=rng.normal(size=(2, 3)), M2=rng.normal(size=(3, 3)), mu=1.0,
         )
-        cfg = SolverConfig()
-        m1, m2, _ = update_multipliers(state, primal_residual(state, obs), cfg, 0.0)
+        m1, m2, _ = update_multipliers(state, primal_residual(state, obs), 0.0)
         np.testing.assert_allclose(m1, state.M1, atol=1e-12)
         np.testing.assert_allclose(m2, state.M2, atol=1e-12)
 
     def test_penalty_growth_rules(self):
         rng = np.random.default_rng(11)
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
-        cfg = SolverConfig()
         state = random_state(rng, 2, 3, mu=1.0)
         primal = primal_residual(state, obs)
         # large iterate change: mu frozen
-        _, _, mu = update_multipliers(state, primal, cfg, 10.0)
+        _, _, mu = update_multipliers(state, primal, 10.0)
         assert mu == 1.0
-        # small change: mu grows by rho0
-        _, _, mu = update_multipliers(state, primal, cfg, 0.0)
-        assert mu == pytest.approx(cfg.rho0)
+        # small change: mu grows by RHO0
+        _, _, mu = update_multipliers(state, primal, 0.0)
+        assert mu == pytest.approx(solver.RHO0)
         # cap binds
-        state.mu = cfg.mu_max
-        _, _, mu = update_multipliers(state, primal, cfg, 0.0)
-        assert mu == cfg.mu_max
+        state.mu = solver.MU_MAX
+        _, _, mu = update_multipliers(state, primal, 0.0)
+        assert mu == solver.MU_MAX
 
     def test_check_convergence(self):
         rng = np.random.default_rng(12)
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
-        cfg = SolverConfig()
         z = rng.normal(size=(3, 3))
         state = SolverState(
             Z=z, J=z.copy(), E=obs.data - obs.data @ z,
@@ -321,20 +320,20 @@ class TestUpdates:
         def residual():
             return np.linalg.norm(primal_residual(state, obs)) / np.linalg.norm(obs.data)
 
-        assert check_convergence(residual(), 0.0, cfg)
+        assert check_convergence(residual(), 0.0)
         # inclusive <= on the iterate-change side, strict < on the residual side
-        assert check_convergence(residual(), cfg.eps2, cfg)
-        assert not check_convergence(residual(), 2 * cfg.eps2, cfg)
-        assert not check_convergence(cfg.eps1, 0.0, cfg)
+        assert check_convergence(residual(), solver.EPS2)
+        assert not check_convergence(residual(), 2 * solver.EPS2)
+        assert not check_convergence(solver.EPS1, 0.0)
         # infeasible state fails regardless of the iterate change
         state.E = state.E + 1.0
-        assert not check_convergence(residual(), 0.0, cfg)
+        assert not check_convergence(residual(), 0.0)
 
 
 def check_loop_invariants(monkeypatch, obs, locality, cfg):
     """Run the real `solve`, recording J and mu after every iteration.
 
-    J >= 0 each time, and mu0 <= mu, nondecreasing, <= mu_max. Each step
+    J >= 0 each time, and mu0 <= mu, nondecreasing, <= MU_MAX. Each step
     is called once per reported iteration. Returns mu after each iteration.
     """
     js, mus = [], []
@@ -356,7 +355,7 @@ def check_loop_invariants(monkeypatch, obs, locality, cfg):
     assert all(np.all(j >= 0) for j in js)
     assert cfg.mu0 <= mus[0]
     assert all(a <= b for a, b in zip(mus, mus[1:]))
-    assert mus[-1] <= cfg.mu_max
+    assert mus[-1] <= solver.MU_MAX
     return mus
 
 
@@ -396,19 +395,22 @@ class TestSolveLoop:
         obs = ObservationMatrix(rng.normal(size=(3, 8)))
         graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
         locality = locality_operator_from_hypergraph(graph)
-        cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60)
+        monkeypatch.setattr(solver, "MU_MAX", 5.0)
+        cfg = SolverConfig(mu0=1.0, max_iter=60)
         check_loop_invariants(monkeypatch, obs, locality, cfg)
 
     def test_penalty_grows_to_its_cap(self, monkeypatch):
-        # same data as above; eps2 = 1e6 makes every iterate change small
+        # same data as above; EPS2 = 1e6 makes every iterate change small
         rng = np.random.default_rng(14)
         obs = ObservationMatrix(rng.normal(size=(3, 8)))
         graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
         locality = locality_operator_from_hypergraph(graph)
-        cfg = SolverConfig(mu0=1.0, mu_max=5.0, max_iter=60, eps2=1e6)
+        monkeypatch.setattr(solver, "MU_MAX", 5.0)
+        monkeypatch.setattr(solver, "EPS2", 1e6)
+        cfg = SolverConfig(mu0=1.0, max_iter=60)
         mus = check_loop_invariants(monkeypatch, obs, locality, cfg)
         assert any(a < b for a, b in zip([cfg.mu0, *mus], mus))
-        assert mus[-1] == cfg.mu_max
+        assert mus[-1] == solver.MU_MAX
 
     @pytest.mark.parametrize("builder", [
         lambda obs, rng: locality_operator_from_hypergraph(
@@ -426,8 +428,10 @@ class TestSolveLoop:
         locality = builder(obs, rng)
         l_norm2 = 0.0 if locality is None else np.linalg.norm(locality.matrix, 2)
         y_norm2 = np.linalg.norm(obs.data, 2)
-        # eps2 = 1e6 lets mu grow, so the step changes from one iteration to the next
-        cfg = SolverConfig(beta=2.0, mu0=1.0, mu_max=4.0, eps2=1e6, max_iter=25)
+        # EPS2 = 1e6 lets mu grow, so the step changes from one iteration to the next
+        monkeypatch.setattr(solver, "MU_MAX", 4.0)
+        monkeypatch.setattr(solver, "EPS2", 1e6)
+        cfg = SolverConfig(beta=2.0, mu0=1.0, max_iter=25)
         svt_calls, grads, mus = [], [], [cfg.mu0]
         real_svt, real_grad_q, real_mult = solver.svt, solver.grad_q, solver.update_multipliers
 
@@ -513,10 +517,23 @@ class TestSolveLoop:
         with pytest.raises(InvalidInputError):
             SolverConfig(gamma=0.0)
         with pytest.raises(InvalidInputError):
-            SolverConfig(rho0=1.0)
-        with pytest.raises(InvalidInputError):
             SolverConfig(mu0=0.0)
-        for bad in ({"gamma": np.nan}, {"beta": np.inf}, {"lam": -np.inf},
-                    {"mu_max": np.inf}, {"eps1": np.nan}, {"mu0": 1.0, "mu_max": 0.01}):
+        # mu0 above MU_MAX; 10**400 overflows a float; max_iter must be an int
+        for bad in ({"gamma": np.nan}, {"beta": np.inf}, {"lam": -np.inf}, {"mu0": 1e11},
+                    {"lam": 10**400}, {"max_iter": 2.5}):
             with pytest.raises(InvalidInputError):
                 SolverConfig(**bad)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SolverConfig)])
+    def test_every_config_field_reaches_the_solve(self, name):
+        # data of test_loop_invariants_each_iteration; each weight and mu0 doubled,
+        # max_iter one more
+        rng = np.random.default_rng(14)
+        obs = ObservationMatrix(rng.normal(size=(3, 8)))
+        graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
+        locality = locality_operator_from_hypergraph(graph)
+        base = SolverConfig(mu0=1.0, max_iter=50)
+        value = getattr(base, name)
+        changed = replace(base, **{name: value + 1 if name == "max_iter" else 2 * value})
+        a, b = solve(obs, locality, base), solve(obs, locality, changed)
+        assert a.iterations != b.iterations or a.Z.tobytes() != b.Z.tobytes()
