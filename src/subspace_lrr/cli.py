@@ -29,9 +29,9 @@ DEFAULT_METHOD_PARAMS = {
 
 # Frozen settings for the synthetic benchmark suite, tuned once and fixed.
 # The quantile epsilon mode keeps the ball radius meaningful on both
-# datasets despite their very different scales. The large beta on two-moons
-# shrinks the solver step size, so that dataset also gets a higher
-# iteration budget.
+# datasets despite their very different scales. Two-moons, with its large
+# beta, has the larger iteration budget. No solve of the grid meets the
+# stop test within its budget, so each cell runs it in full.
 BENCHMARK_CONFIG = {
     "two-moons": {
         "generator": {"n_per_moon": 100, "noise_sigma": 0.04},

@@ -6,6 +6,7 @@ clique expansion, to a symmetric PSD operator whose quadratic form
 tr(Z L Z^T) penalizes spread of coefficient columns over each neighborhood.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -17,6 +18,14 @@ from .errors import InvalidInputError, InvalidParameterError
 # Pairwise-distance sums below this are clamped before inversion so that
 # coincident points do not produce infinite edge weights.
 WEIGHT_FLOOR = 1e-12
+
+
+def _positive_finite(x):
+    """x > 0 and finite as a float; a Python int too large for one is not."""
+    try:
+        return x > 0 and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class Hyperedge:
             raise InvalidInputError("hyperedge needs at least two vertices")
         if verts[0] < 0 or any(b <= a for a, b in zip(verts, verts[1:])):
             raise InvalidInputError("hyperedge vertex ids must be nonnegative, strictly increasing")
-        if not (self.weight > 0 and np.isfinite(self.weight)):
+        if not _positive_finite(self.weight):
             raise InvalidInputError("hyperedge weight must be positive and finite")
         object.__setattr__(self, "vertices", verts)
 
@@ -150,7 +159,7 @@ def epsilon_ball_hyperedges(observations, eps, mode="absolute"):
         raise InvalidInputError("need at least two observations")
     dist = observations.pairwise_distances()
     if mode == "absolute":
-        if not (eps > 0 and np.isfinite(eps)):
+        if not _positive_finite(eps):
             raise InvalidParameterError("eps must be positive and finite")
         threshold = float(eps)
     elif mode == "quantile":

@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, determinism, report contents."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from subspace_lrr import cli
 from subspace_lrr.cli import main
 
 
@@ -95,8 +98,16 @@ class TestCluster:
         assert report["converged"] is False
         assert report["iterations"] == 5
 
-    def test_all_zero_coefficients_exit_2_without_report(self, tmp_path, moons_file):
-        # one iteration at the default mu0 leaves Z = 0, so NCut has nothing to cut
+    def test_all_zero_coefficients_exit_2_without_report(self, tmp_path, moons_file,
+                                                          monkeypatch):
+        # a solve that returns Z = 0 leaves NCut nothing to cut
+        real_solve = cli.solve
+
+        def zero_solve(*args):
+            report = real_solve(*args)
+            return replace(report, Z=np.zeros_like(report.Z))
+
+        monkeypatch.setattr(cli, "solve", zero_solve)
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", moons_file, "--method", "lrr", "--k", 2,
                     "--max-iter", 1, "--report", report_path])
@@ -166,9 +177,10 @@ class TestCluster:
         {"gamma": float("nan")},
         {"lam": 10**400},
         {"mu0": 1e11},
+        {"eps": 10**400},
     ], ids=["unknown-key", "removed-key", "removed-key-rho0", "list", "beta-str", "knn_k-str",
             "eps-str", "max_iter-float", "gamma-bool", "gamma-nan", "lam-too-large",
-            "mu0-above-cap"])
+            "mu0-above-cap", "eps-too-large"])
     def test_ill_formed_config_exits_2(self, tmp_path, moons_file, content):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(content))

@@ -158,8 +158,9 @@ class TestHyperedge:
         ((0, 1), np.nan),
         ((0, 1.7), 1.0),
         ((-1, 0), 1.0),
+        ((0, 1), 10**400),
     ], ids=["singleton", "unsorted", "zero-weight", "negative-weight", "inf-weight",
-            "nan-weight", "non-integral-id", "negative-id"])
+            "nan-weight", "non-integral-id", "negative-id", "too-large-weight"])
     def test_rejects_malformed_edge(self, vertices, weight):
         with pytest.raises(InvalidInputError):
             Hyperedge(vertices, weight)

@@ -24,6 +24,7 @@ from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 from subspace_lrr.solver import (
     SolverConfig,
     SolverState,
+    SvtWarmStart,
     check_convergence,
     grad_q,
     update_E,
@@ -35,10 +36,12 @@ from subspace_lrr.solver import (
 def random_state(rng, m, n, mu):
     return SolverState(
         Z=rng.normal(size=(n, n)),
+        W=rng.normal(size=(n, n)),
         J=rng.normal(size=(n, n)),
         E=rng.normal(size=(m, n)),
         M1=rng.normal(size=(m, n)),
         M2=rng.normal(size=(n, n)),
+        M3=rng.normal(size=(n, n)),
         mu=mu,
     )
 
@@ -49,13 +52,15 @@ def primal_residual(state, observations):
 
 
 def smooth_objective(z, state, locality, observations, cfg):
-    """The linearized subproblem's smooth part q(Z), evaluated directly."""
+    """The Z-step's objective q(Z), the augmented Lagrangian in Z up to a
+    constant, evaluated directly."""
     y = observations.data
     r1 = y - y @ z - state.E + state.M1 / state.mu
     r2 = z - state.J + state.M2 / state.mu
+    r3 = z - state.W + state.M3 / state.mu
     val = cfg.beta * float(np.trace(z @ locality.matrix @ z.T))
-    val += 0.5 * state.mu * float(np.sum(r1 * r1))
-    val += 0.5 * state.mu * float(np.sum(r2 * r2))
+    for r in (r1, r2, r3):
+        val += 0.5 * state.mu * float(np.sum(r * r))
     return val
 
 
@@ -82,10 +87,10 @@ def assert_shrink_minimizes_on_grid(r, tau):
     assert shrink(r, tau) == pytest.approx(grid[np.argmin(objective)], abs=1e-3)
 
 
-def assert_svt_beats_perturbations(a, tau, rng):
-    """svt(a, tau) must beat 1000 random perturbations of itself on
+def assert_svt_beats_perturbations(a, tau, rng, warm=None):
+    """svt(a, tau, warm) must beat 1000 random perturbations of itself on
     tau ||X||_* + 0.5 ||X - A||_F^2."""
-    out = svt(a, tau)
+    out = svt(a, tau, warm)
 
     def objective(x):
         return tau * np.linalg.svd(x, compute_uv=False).sum() + 0.5 * np.sum((x - a) ** 2)
@@ -135,6 +140,41 @@ class TestProximalOperators:
         a = rng.normal(size=(6, 4))
         tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
         assert_svt_beats_perturbations(a, tau, rng)
+        # the low-rank path, on a rank-3 input above SVT_WIDTH on both sides
+        a = rng.normal(size=(24, 3)) @ rng.normal(size=(3, 20))
+        tau = float(np.median(np.linalg.svd(a, compute_uv=False)[:3]))
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((20, 0)))
+        assert_svt_beats_perturbations(a, tau, rng, warm)
+        assert warm.fallbacks == 0 and warm.basis.shape == (20, 1)
+
+    @pytest.mark.parametrize("m, n, rank", [(40, 40, 5), (60, 45, 15), (45, 60, 1), (200, 200, 4)])
+    def test_svt_low_rank_path_matches_exact(self, m, n, rank):
+        # each call starts from the basis the previous one kept
+        rng = np.random.default_rng(m + n + rank)
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        s = np.linalg.svd(a, compute_uv=False)
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((n, 0)))
+        for tau in s[0] * np.array([1e-3, 0.3, 0.99, 1.5]):
+            out = svt(a, tau, warm)
+            np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
+            assert warm.fallbacks == 0
+            assert warm.basis.shape == (n, np.count_nonzero(s > tau))
+
+    def test_svt_falls_back_above_width(self):
+        # rank 30 > SVT_WIDTH with a small threshold: the certificate fails
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(40, 30)) @ rng.normal(size=(30, 40))
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((40, 0)))
+        out = svt(a, 1e-3, warm)
+        np.testing.assert_array_equal(out, svt(a, 1e-3))
+        assert warm.fallbacks == 1 and warm.basis is None
+        # the next call skips the attempt, and 30 kept values keep skipping it
+        np.testing.assert_array_equal(svt(a, 1e-3, warm), out)
+        assert warm.fallbacks == 1 and warm.basis is None
+        # in a solve, the first W-step is 0 and certified; the second falls back
+        y = rng.normal(size=(50, 40))
+        report = solve(y, None, SolverConfig(mu0=1.0, max_iter=5))
+        assert report.svt_fallbacks == 1
 
     # tall, wide and square, on both sides of 64; full rank and rank-deficient
     @pytest.mark.parametrize("m, n, rank", [
@@ -177,10 +217,12 @@ class TestGradient:
         z = rng.normal(size=(4, 4))
         state = SolverState(
             Z=z,
+            W=z.copy(),
             J=z.copy(),
             E=obs.data - obs.data @ z,
             M1=np.zeros((3, 4)),
             M2=np.zeros((4, 4)),
+            M3=np.zeros((4, 4)),
             mu=1.0,
         )
         cfg = SolverConfig(beta=0.0)
@@ -188,45 +230,72 @@ class TestGradient:
         grad = grad_q(state, None, obs, cfg, primal)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
-
     def test_step_size_bound(self, monkeypatch):
-        # with no locality term, solve thresholds at 1 / eta1 = 1 / (1.02 mu (1 + ||Y||_2^2)),
-        # so the threshold falls as mu grows and settles at MU_MAX
+        # the penalty is fixed, so every W-step thresholds at 1 / mu0, and
+        # the locality term bounds no step: beta from 0 to 2000 leaves it alone
         rng = np.random.default_rng(7)
         obs = ObservationMatrix(rng.normal(size=(3, 6)))
-        monkeypatch.setattr(solver, "MU_MAX", 4.0)
-        monkeypatch.setattr(solver, "EPS2", 1e6)
-        cfg = SolverConfig(mu0=1.0, max_iter=30)
+        locality = knn_graph_laplacian(obs, 2)
         taus = []
         real_svt = solver.svt
 
-        def traced_svt(a, tau):
+        def traced_svt(a, tau, warm=None):
             taus.append(tau)
-            return real_svt(a, tau)
+            return real_svt(a, tau, warm)
 
         monkeypatch.setattr(solver, "svt", traced_svt)
-        solve(obs, None, cfg)
-        y_norm2 = np.linalg.norm(obs.data, 2)
-        for tau, mu in ((taus[0], cfg.mu0), (taus[-1], solver.MU_MAX)):
-            assert tau == pytest.approx(1.0 / (1.02 * mu * (1.0 + y_norm2**2)), rel=1e-12)
-        assert all(b <= a for a, b in zip(taus, taus[1:]))
+        iterations = sum(
+            solve(obs, locality, SolverConfig(beta=beta, mu0=4.0, max_iter=30)).iterations
+            for beta in (0.0, 2.0, 2000.0)
+        )
+        assert taus == [0.25] * iterations
 
 
 class TestUpdates:
     def test_update_Z_composes_primitives(self):
-        # solve's first Z is SVT(-grad_q / eta1, 1 / eta1) taken from the zero state
+        # solve's first iterate from the zero state: W = svt(0) = 0, then J
+        # and E by their prox steps, then Z from the dense normal equations
         rng = np.random.default_rng(7)
         obs = ObservationMatrix(rng.normal(size=(3, 4)))
         locality = knn_graph_laplacian(obs, 2)
         cfg = SolverConfig(mu0=1.0, max_iter=1)
         state = SolverState.initial(3, 4, cfg.mu0)
-        l_norm2 = float(np.linalg.norm(locality.matrix, 2))
-        y_norm2 = float(np.linalg.norm(obs.data, 2))
-        eta1 = 1.02 * (2.0 * cfg.beta * l_norm2 + cfg.mu0 * (1.0 + y_norm2**2))
-        primal = primal_residual(state, obs)
-        expected = svt(-grad_q(state, locality, obs, cfg, primal) / eta1, 1.0 / eta1)
-        assert np.abs(expected).max() > 1e-3  # the threshold keeps part of the step
+        state.W = svt(state.Z + state.M3 / cfg.mu0, 1.0 / cfg.mu0)
+        state.J = update_J(state, cfg)
+        state.E = update_E(state, obs.data, cfg)
+        expected = dense_z_step(state, locality, obs, cfg)
+        assert np.abs(expected).max() > 1e-3
         np.testing.assert_allclose(solve(obs, locality, cfg).Z, expected, atol=1e-12)
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.floats(0.0, 100.0),
+        mu=st.floats(0.01, 100.0),
+    )
+    def test_z_step_matches_dense_sylvester_solve(self, m, n, seed, beta, mu):
+        # each of three iterations' Z against a dense solve at that iteration's
+        # W, J, E and multipliers, on a random positive semidefinite operator
+        rng = np.random.default_rng(seed)
+        obs = ObservationMatrix(rng.normal(size=(m, n)))
+        g = rng.normal(size=(n, n))
+        locality = LocalityOperator(g @ g.T + (g @ g.T).T)
+        cfg = SolverConfig(beta=beta, mu0=mu, max_iter=3)
+        iterates = []
+        real_mult = solver.update_multipliers
+
+        def traced_mult(state, primal):
+            iterates.append((state.Z, dense_z_step(state, locality, obs, cfg)))
+            return real_mult(state, primal)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "update_multipliers", traced_mult)
+            solve(obs, locality, cfg)
+        for z, expected in iterates:
+            scale = max(np.abs(expected).max(), 1e-300)
+            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-8 * scale)
 
     def test_update_E_scalar_prox_oracle(self):
         rng = np.random.default_rng(8)
@@ -275,7 +344,8 @@ class TestUpdates:
     )
     def test_update_J_is_nonnegative_soft_threshold(self, z, m2, mu, lam):
         # the one clip max(x - tau, 0) equals max(shrink(x, tau), 0) entry by entry
-        state = SolverState(z, np.zeros((3, 3)), np.zeros((2, 3)), np.zeros((2, 3)), m2, mu)
+        state = SolverState.initial(2, 3, mu)
+        state.Z, state.M2 = z, m2
         cfg = SolverConfig(lam=lam)
         expected = np.maximum(shrink(z + m2 / mu, lam / mu), 0.0)
         np.testing.assert_array_equal(update_J(state, cfg), expected)
@@ -285,78 +355,93 @@ class TestUpdates:
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         z = rng.normal(size=(3, 3))
         state = SolverState(
-            Z=z, J=z.copy(), E=obs.data - obs.data @ z,
-            M1=rng.normal(size=(2, 3)), M2=rng.normal(size=(3, 3)), mu=1.0,
+            Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
+            M1=rng.normal(size=(2, 3)), M2=rng.normal(size=(3, 3)),
+            M3=rng.normal(size=(3, 3)), mu=1.0,
         )
-        m1, m2, _ = update_multipliers(state, primal_residual(state, obs), 0.0)
+        primal = (primal_residual(state, obs), state.Z - state.J, state.Z - state.W)
+        m1, m2, _, m3 = update_multipliers(state, primal)
         np.testing.assert_allclose(m1, state.M1, atol=1e-12)
         np.testing.assert_allclose(m2, state.M2, atol=1e-12)
+        np.testing.assert_allclose(m3, state.M3, atol=1e-12)
 
     def test_penalty_growth_rules(self):
+        # mu is fixed: update_multipliers returns state.mu at index 2 (where
+        # the benchmark's span tracer reads it) whatever the residuals, and
+        # adds mu times each residual to its multiplier
         rng = np.random.default_rng(11)
-        obs = ObservationMatrix(rng.normal(size=(2, 3)))
-        state = random_state(rng, 2, 3, mu=1.0)
-        primal = primal_residual(state, obs)
-        # large iterate change: mu frozen
-        _, _, mu = update_multipliers(state, primal, 10.0)
-        assert mu == 1.0
-        # small change: mu grows by RHO0
-        _, _, mu = update_multipliers(state, primal, 0.0)
-        assert mu == pytest.approx(solver.RHO0)
-        # cap binds
-        state.mu = solver.MU_MAX
-        _, _, mu = update_multipliers(state, primal, 0.0)
-        assert mu == solver.MU_MAX
+        state = random_state(rng, 2, 3, mu=1.7)
+        for scale in (0.0, 1e-8, 10.0):
+            primal = tuple(scale * rng.normal(size=x.shape) for x in (state.M1, state.M2, state.M3))
+            m1, m2, mu, m3 = update_multipliers(state, primal)
+            assert mu == 1.7
+            for new, old, p in zip((m1, m2, m3), (state.M1, state.M2, state.M3), primal):
+                np.testing.assert_array_equal(new, old + 1.7 * p)
 
     def test_check_convergence(self):
         rng = np.random.default_rng(12)
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         z = rng.normal(size=(3, 3))
         state = SolverState(
-            Z=z, J=z.copy(), E=obs.data - obs.data @ z,
-            M1=np.zeros((2, 3)), M2=np.zeros((3, 3)), mu=1.0,
+            Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
+            M1=np.zeros((2, 3)), M2=np.zeros((3, 3)), M3=np.zeros((3, 3)), mu=1.0,
         )
 
         def residual():
             return np.linalg.norm(primal_residual(state, obs)) / np.linalg.norm(obs.data)
 
         assert check_convergence(residual(), 0.0)
-        # inclusive <= on the iterate-change side, strict < on the residual side
+        # inclusive <= on the dual side, strict < on the primal side
         assert check_convergence(residual(), solver.EPS2)
         assert not check_convergence(residual(), 2 * solver.EPS2)
         assert not check_convergence(solver.EPS1, 0.0)
-        # infeasible state fails regardless of the iterate change
+        # infeasible state fails regardless of the dual residual
         state.E = state.E + 1.0
         assert not check_convergence(residual(), 0.0)
 
 
+def z_step_rhs(state, locality, observations, cfg):
+    """R of the Z-step mu (Y^T Y + 2 I) Z + 2 beta Z L = R: minus grad_q at
+    Z = 0, since the Z-step's objective is quadratic."""
+    zero = replace(state, Z=np.zeros_like(state.Z))
+    return -grad_q(zero, locality, observations, cfg, observations.data - state.E)
+
+
+def dense_z_step(state, locality, observations, cfg):
+    """The Z-step's solution from one dense solve of its normal equations."""
+    y = observations.data
+    n = y.shape[1]
+    lap = np.zeros((n, n)) if locality is None else locality.matrix
+    # column-major vec: vec(A Z) = (I kron A) vec Z and vec(Z B) = (B^T kron I) vec Z
+    op = np.kron(np.eye(n), state.mu * (y.T @ y + 2.0 * np.eye(n)))
+    op += np.kron(2.0 * cfg.beta * lap.T, np.eye(n))
+    rhs = z_step_rhs(state, locality, observations, cfg)
+    return np.linalg.solve(op, rhs.flatten(order="F")).reshape((n, n), order="F")
+
+
 def check_loop_invariants(monkeypatch, obs, locality, cfg):
-    """Run the real `solve`, recording J and mu after every iteration.
+    """Run the real `solve`, checking every iteration before its dual step.
 
-    J >= 0 each time, and mu0 <= mu, nondecreasing, <= MU_MAX. Each step
-    is called once per reported iteration. Returns mu after each iteration.
+    J >= 0, mu is mu0, and the new Z solves the Z-step: grad_q there is at
+    most 1e-10 ||R||. The dual step runs once per reported iteration.
+    Returns the report.
     """
-    js, mus = [], []
-    update_j, update_mult = solver.update_J, solver.update_multipliers
+    calls = []
+    update_mult = solver.update_multipliers
 
-    def traced_update_j(*args):
-        js.append(update_j(*args))
-        return js[-1]
+    def traced_update_mult(state, primal):
+        calls.append(state.mu)
+        assert np.all(state.J >= 0)
+        assert state.mu == cfg.mu0
+        grad = grad_q(state, locality, obs, cfg, primal[0])
+        rhs = z_step_rhs(state, locality, obs, cfg)
+        assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(rhs)
+        return update_mult(state, primal)
 
-    def traced_update_mult(*args):
-        out = update_mult(*args)
-        mus.append(out[2])
-        return out
-
-    monkeypatch.setattr(solver, "update_J", traced_update_j)
     monkeypatch.setattr(solver, "update_multipliers", traced_update_mult)
     report = solve(obs, locality, cfg)
-    assert len(js) == len(mus) == report.iterations
-    assert all(np.all(j >= 0) for j in js)
-    assert cfg.mu0 <= mus[0]
-    assert all(a <= b for a, b in zip(mus, mus[1:]))
-    assert mus[-1] <= solver.MU_MAX
-    return mus
+    assert len(calls) == report.iterations
+    return report
 
 
 def indefinite_operator(n, rng):
@@ -378,89 +463,99 @@ def assert_same_solve(a, b):
 
 
 class TestSolveLoop:
-    def test_duplicated_columns_converge(self):
+    def test_duplicated_columns_converge(self, monkeypatch):
+        # both stop tests are relative, so the solve stops soon after the
+        # constraint is met
         rng = np.random.default_rng(13)
         base = rng.normal(size=(4, 5))
         y = np.concatenate([base, base], axis=1)
         obs = ObservationMatrix(y)
         cfg = SolverConfig(beta=0.0, lam=1e-4, mu0=1.0, max_iter=3000)
+        steps = []
+        real_mult = solver.update_multipliers
+
+        def traced_mult(state, primal):
+            out = real_mult(state, primal)
+            steps.append((state.Z, state.W, state.J, state.E, primal, out))
+            return out
+
+        monkeypatch.setattr(solver, "update_multipliers", traced_mult)
         report = solve(obs, None, cfg)
         assert report.converged
         resid = np.linalg.norm(y - y @ report.Z - report.E) / np.linalg.norm(y)
         assert resid < 1e-6
+        assert report.iterations <= 300
+        assert report.residual_history[-1] < solver.EPS1
+        assert report.change_history[-1] <= solver.EPS2
+        # the histories hold the relative primal residual r and dual residual s
+        z_prev = np.zeros((10, 10))
+        for (z, w, j, e, primal, (m1, m2, _, m3)), r, s in zip(
+            steps, report.residual_history, report.change_history
+        ):
+            stacked = np.linalg.norm(np.concatenate([p.ravel() for p in primal]))
+            scale = max(np.sqrt(np.sum(e**2) + np.sum(j**2) + np.sum(w**2)),
+                        np.sqrt(np.sum((y @ z) ** 2) + 2 * np.sum(z**2)),
+                        np.linalg.norm(y))
+            assert r == pytest.approx(stacked / scale, rel=1e-10)
+            dz = z - z_prev
+            dual = cfg.mu0 * np.sqrt(np.sum((y @ dz) ** 2) + 2 * np.sum(dz**2))
+            multipliers = np.sqrt(np.sum(m1**2) + np.sum(m2**2) + np.sum(m3**2))
+            assert s == pytest.approx(dual / multipliers, rel=1e-6)
+            z_prev = z
 
     def test_loop_invariants_each_iteration(self, monkeypatch):
-        # J >= 0 after every iteration; mu nondecreasing and capped
+        # J >= 0, mu fixed and the Z-step exact after every iteration
         rng = np.random.default_rng(14)
         obs = ObservationMatrix(rng.normal(size=(3, 8)))
         graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
         locality = locality_operator_from_hypergraph(graph)
-        monkeypatch.setattr(solver, "MU_MAX", 5.0)
         cfg = SolverConfig(mu0=1.0, max_iter=60)
         check_loop_invariants(monkeypatch, obs, locality, cfg)
 
-    def test_penalty_grows_to_its_cap(self, monkeypatch):
-        # same data as above; EPS2 = 1e6 makes every iterate change small
-        rng = np.random.default_rng(14)
-        obs = ObservationMatrix(rng.normal(size=(3, 8)))
-        graph = epsilon_ball_hyperedges(obs, 0.3, mode="quantile")
-        locality = locality_operator_from_hypergraph(graph)
-        monkeypatch.setattr(solver, "MU_MAX", 5.0)
-        monkeypatch.setattr(solver, "EPS2", 1e6)
-        cfg = SolverConfig(mu0=1.0, max_iter=60)
-        mus = check_loop_invariants(monkeypatch, obs, locality, cfg)
-        assert any(a < b for a, b in zip([cfg.mu0, *mus], mus))
-        assert mus[-1] == solver.MU_MAX
-
-    @pytest.mark.parametrize("builder", [
-        lambda obs, rng: locality_operator_from_hypergraph(
-            epsilon_ball_hyperedges(obs, 0.3, mode="quantile")),
-        lambda obs, rng: knn_graph_laplacian(obs, 3),
-        lambda obs, rng: knn_hypergraph_laplacian(obs, 3),
-        lambda obs, rng: indefinite_operator(obs.n, rng),
-        lambda obs, rng: None,
-    ], ids=["eps-ball", "knn-graph", "knn-hypergraph", "indefinite", "none"])
-    def test_z_step_is_svt_of_gradient_step(self, monkeypatch, builder):
-        """Every iteration's Z is SVT(Z - grad_q / eta1, 1 / eta1) with
-        eta1 = 1.02 (2 beta ||L||_2 + mu (1 + ||Y||_2^2)) at that iteration's mu."""
+    def test_indefinite_operator_raises(self):
+        # the exact Z-step needs 2 mu + 2 beta b > 0 at every eigenvalue b of L
         rng = np.random.default_rng(18)
         obs = ObservationMatrix(rng.normal(size=(3, 10)))
-        locality = builder(obs, rng)
-        l_norm2 = 0.0 if locality is None else np.linalg.norm(locality.matrix, 2)
-        y_norm2 = np.linalg.norm(obs.data, 2)
-        # EPS2 = 1e6 lets mu grow, so the step changes from one iteration to the next
-        monkeypatch.setattr(solver, "MU_MAX", 4.0)
-        monkeypatch.setattr(solver, "EPS2", 1e6)
-        cfg = SolverConfig(beta=2.0, mu0=1.0, max_iter=25)
-        svt_calls, grads, mus = [], [], [cfg.mu0]
-        real_svt, real_grad_q, real_mult = solver.svt, solver.grad_q, solver.update_multipliers
+        with pytest.raises(InvalidInputError):
+            solve(obs, indefinite_operator(obs.n, rng), SolverConfig(beta=2.0, mu0=1.0))
 
-        def traced_svt(a, tau):
-            svt_calls.append((a, tau, real_svt(a, tau)))
+    @pytest.mark.parametrize("builder", [
+        lambda obs: locality_operator_from_hypergraph(
+            epsilon_ball_hyperedges(obs, 0.3, mode="quantile")),
+        lambda obs: knn_graph_laplacian(obs, 3),
+        lambda obs: knn_hypergraph_laplacian(obs, 3),
+        lambda obs: None,
+    ], ids=["eps-ball", "knn-graph", "knn-hypergraph", "none"])
+    def test_z_step_is_svt_of_gradient_step(self, monkeypatch, builder):
+        """The nuclear-norm step is an SVT: every iteration's W is
+        SVT(Z + M3 / mu, 1 / mu) at the previous iterate. The Z-step after it
+        is exact: check_loop_invariants finds grad_q zero at the new Z."""
+        rng = np.random.default_rng(18)
+        obs = ObservationMatrix(rng.normal(size=(3, 10)))
+        locality = builder(obs)
+        cfg = SolverConfig(beta=2.0, mu0=1.0, max_iter=25)
+        svt_calls, iterates = [], [(np.zeros((obs.n, obs.n)), np.zeros((obs.n, obs.n)))]
+        real_svt, real_mult = solver.svt, solver.update_multipliers
+
+        def traced_svt(a, tau, warm=None):
+            svt_calls.append((a, tau, real_svt(a, tau, warm)))
             return svt_calls[-1][2]
 
-        def traced_grad_q(*args):
-            grads.append(real_grad_q(*args))
-            return grads[-1]
-
-        def traced_mult(*args):
-            out = real_mult(*args)
-            mus.append(out[2])
+        def traced_mult(state, primal):
+            out = real_mult(state, primal)
+            iterates.append((state.Z, out[3]))
             return out
 
         monkeypatch.setattr(solver, "svt", traced_svt)
-        monkeypatch.setattr(solver, "grad_q", traced_grad_q)
         monkeypatch.setattr(solver, "update_multipliers", traced_mult)
-        report = solve(obs, locality, cfg)
-        assert len(svt_calls) == len(grads) == report.iterations
-        assert len(set(mus)) > 1
-        z_prev = np.zeros((obs.n, obs.n))
-        for (a, tau, z), g, mu in zip(svt_calls, grads, mus):
-            eta1 = 1.02 * (2.0 * cfg.beta * l_norm2 + mu * (1.0 + y_norm2**2))
-            assert tau == pytest.approx(1.0 / eta1, rel=1e-12)
-            np.testing.assert_allclose(a, z_prev - g / eta1, rtol=0, atol=1e-12)
-            z_prev = z
-        np.testing.assert_array_equal(report.Z, z_prev)
+        report = check_loop_invariants(monkeypatch, obs, locality, cfg)
+        assert len(svt_calls) == report.iterations
+        for (a, tau, w), (z, m3) in zip(svt_calls, iterates):
+            assert tau == 1.0 / cfg.mu0
+            np.testing.assert_array_equal(a, z + m3 / cfg.mu0)
+            # n = 10 is below SVT_WIDTH, so the solve takes the exact path
+            np.testing.assert_array_equal(w, svt(a, tau))
+        np.testing.assert_array_equal(report.Z, iterates[-1][0])
 
     def test_all_zero_data_raises(self):
         with pytest.raises(InvalidInputError):
