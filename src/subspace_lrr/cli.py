@@ -1,7 +1,8 @@
 """Command-line front end: generate datasets, run one method, or benchmark.
 
-Exit codes: 0 success, 2 usage/input error, 3 completed with a
-non-converged solver (the report is still written).
+Exit codes: 0 success, 2 usage/input error or a failed linear-algebra
+kernel, 3 completed with a non-converged solver (the report is still
+written).
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, datasets, hypergraph, metrics
-from .errors import InvalidInputError, InvalidParameterError, ParseError
+from .errors import InvalidInputError, InvalidParameterError, NumericalError, ParseError
 from .solver import SolverConfig, solve
 
 METHODS = ("kmeans", "ncut", "lrr", "graph-lrr", "lrlrr", "tlr-lrr")
@@ -255,7 +256,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InvalidParameterError, ParseError, OSError,
+    except (InvalidInputError, InvalidParameterError, NumericalError, ParseError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Spectral clustering of learned coefficients, with a seeded k-means core."""
 
 import numpy as np
+from scipy import linalg
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
 
@@ -88,6 +89,7 @@ def ncut_spectral(w, k, seed=0):
 
     Embeds points into the k bottom eigenvectors of the symmetric
     normalized Laplacian, row-normalizes, and clusters with seeded k-means.
+    Only those k eigenpairs are computed, by a partial LAPACK eigensolve.
     An all-zero affinity is rejected: any labels drawn from it are arbitrary.
     """
     w = np.asarray(w, dtype=float)
@@ -102,10 +104,9 @@ def ncut_spectral(w, k, seed=0):
     l_sym = np.eye(n) - (d_inv_sqrt[:, None] * w) * d_inv_sqrt[None, :]
     l_sym = 0.5 * (l_sym + l_sym.T)
     try:
-        _, vecs = np.linalg.eigh(l_sym)
+        _, embedding = linalg.eigh(l_sym, subset_by_index=[0, k - 1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the normalized Laplacian failed") from exc
-    embedding = vecs[:, :k]
     norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0
     embedding[nonzero] /= norms[nonzero, None]

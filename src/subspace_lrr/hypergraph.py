@@ -205,13 +205,31 @@ def locality_operator_from_hypergraph(graph):
 
 
 def _knn_sets(observations, k):
-    """k nearest neighbors of each point (n x k), ties broken by lower index."""
+    """k nearest neighbors of each point (n x k), ordered by distance and
+    ties broken by lower index: the first k columns of a stable argsort.
+
+    Selection, not a sort: each row keeps every distance below its k-th
+    smallest t, then the lowest-index entries equal to t until it has k.
+    Only those k are sorted.
+    """
     n = observations.n
     if not (1 <= k <= n - 1):
         raise InvalidParameterError(f"k must be in [1, {n - 1}]")
     dist = observations.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
-    return np.argsort(dist, axis=1, kind="stable")[:, :k].copy()  # frees the n x n sort
+    t = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    keep = dist < t
+    ties = dist == t
+    need = k - keep.sum(axis=1)
+    # only rows with more ties at t than they need pay a running count
+    over = ties.sum(axis=1) > need
+    extra = ties[over]
+    extra &= np.cumsum(extra, axis=1) <= need[over, None]
+    ties[over] = extra
+    keep |= ties
+    cols = np.nonzero(keep)[1].reshape(n, k)  # ascending index within each row
+    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def knn_graph_laplacian(observations, k):

@@ -17,7 +17,8 @@ Two-block ADMM converges for any fixed mu (Boyd et al., Distributed
 Optimization and Statistical Learning via ADMM, 2011, section 3.2). The
 stop test is that paper's relative primal and dual residuals (section
 3.3.1). While W has low rank, `svt` thresholds it through a warm-started
-randomized range finder, certified against an exact fallback.
+randomized range finder, checked by a residual bound (or, when that fails,
+a power estimate) against an exact fallback.
 """
 
 import math
@@ -32,7 +33,7 @@ EPS1 = 1e-6     # relative primal residual tolerance
 EPS2 = 1e-4     # relative dual residual tolerance
 MU_MAX = 1e10   # largest accepted penalty mu0
 SVT_WIDTH = 16  # columns of the low-rank SVT's range finder
-SVT_CERT_STEPS = 5  # power iterations that bound the range finder's residual
+SVT_CERT_STEPS = 5  # power iterations that estimate the range finder's residual
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,14 @@ def svt(a, tau, warm=None):
     Given an SvtWarmStart whose basis is set, `svt` first tries a
     randomized range finder of width SVT_WIDTH (Halko, Martinsson & Tropp,
     arXiv:0909.4061), started from that basis and the warm start's random
-    stream, with one power step. Its result is used only when power
-    iterations bound the residual ||a - Q Q^T a||_2 by tau / 2; otherwise
-    the exact path runs and the fallback is counted. Either way the warm
-    start is updated for the next call.
+    stream, with one power step. Its result is used only when the residual
+    ||a - Q Q^T a||_2 is at most tau / 2. That is first checked by a residual
+    bound: ||a||_F^2 - ||Q^T a||_F^2, which is ||a - Q Q^T a||_F^2 and so
+    bounds the spectral norm's square from above. Only when the bound fails
+    do SVT_CERT_STEPS power iterations estimate the spectral norm, from
+    below, so an acceptance there rests on an estimate. When the estimate
+    fails too, the exact path runs and the fallback is counted. Either way
+    the warm start is updated for the next call.
     """
     if tau < 0:
         raise InvalidParameterError("SVT threshold must be nonnegative")
@@ -168,22 +173,27 @@ def _svt_exact(a, tau):
 
 def _svt_low_rank(a, tau, start, rng):
     """svt(a, tau) from a rank-SVT_WIDTH range of a, with the right singular
-    vectors kept; (None, None) when the residual bound fails."""
-    n = a.shape[1]
+    vectors kept; (None, None) when both the residual bound and the power
+    estimate exceed tau / 2."""
+    m, n = a.shape
     omega = np.hstack([start, rng.standard_normal((n, SVT_WIDTH - start.shape[1]))])
     q = np.linalg.qr(a @ omega)[0]
     q = np.linalg.qr(a @ (a.T @ q))[0]
     b = q.T @ a
-    x = rng.standard_normal(n)
-    for _ in range(SVT_CERT_STEPS):
-        rx = a @ x - q @ (b @ x)
-        x = a.T @ rx - b.T @ (q.T @ rx)
-        norm = np.linalg.norm(x)
-        if norm == 0:
-            break  # a zero residual is certified
-        x /= norm
-    if np.linalg.norm(a @ x - q @ (b @ x)) > tau / 2:
-        return None, None
+    x = rng.standard_normal(n)  # drawn even when unused, so the stream is the same
+    # ||a - q b||_F^2, as q has orthonormal columns, with m eps ||a||_F^2 for
+    # the rounding of the two sums and of b
+    a_sq = np.vdot(a, a)
+    if a_sq - np.vdot(b, b) + m * np.finfo(float).eps * a_sq > (tau / 2) ** 2:
+        for _ in range(SVT_CERT_STEPS):
+            rx = a @ x - q @ (b @ x)
+            x = a.T @ rx - b.T @ (q.T @ rx)
+            norm = np.linalg.norm(x)
+            if norm == 0:
+                break  # a zero residual is certified
+            x /= norm
+        if np.linalg.norm(a @ x - q @ (b @ x)) > tau / 2:
+            return None, None
     # q b = q ub diag(s) vb^T, from the small Gram matrix b b^T = ub diag(s^2) ub^T
     lam, ub = np.linalg.eigh(b @ b.T)
     s = np.sqrt(np.maximum(lam, 0.0))
@@ -264,14 +274,14 @@ def solve(observations, locality=None, cfg=None):
     # with d_j = mu s^2 / ((c_j + mu s^2) c_j). Back in the original basis,
     # Z = R P - V ((d * (V^T R Q)) Q^T) with P = Q diag(1 / c) Q^T: one n x n
     # product per iteration, and none without an operator.
-    _, s, vt = np.linalg.svd(y, full_matrices=False)
-    if locality is None:
-        q, b = None, np.zeros(n)
-    else:
-        b, q = np.linalg.eigh(locality.matrix)
-        if b[0] < -1e-10 * np.abs(b).max():
-            raise InvalidInputError("locality operator must be positive semidefinite")
-        b = np.maximum(b, 0.0)  # what is left below zero is rounding
+    try:
+        _, s, vt = np.linalg.svd(y, full_matrices=False)
+        b, q = (np.zeros(n), None) if locality is None else np.linalg.eigh(locality.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("factoring the data or the locality operator failed") from exc
+    if b[0] < -1e-10 * np.abs(b).max():
+        raise InvalidInputError("locality operator must be positive semidefinite")
+    b = np.maximum(b, 0.0)  # what is left below zero is rounding
     mu = cfg.mu0
     c = 2.0 * mu + 2.0 * cfg.beta * b
     d = mu * s[:, None] ** 2 / (c + mu * s[:, None] ** 2) / c

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from subspace_lrr import cli
 from subspace_lrr.cli import main
@@ -113,6 +114,25 @@ class TestCluster:
                     "--max-iter", 1, "--report", report_path])
         assert code == 2
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("method, module, kernel", [
+        ("ncut", scipy.linalg, "eigh"),      # the normalized Laplacian's eigensolve
+        ("graph-lrr", np.linalg, "eigh"),    # the solve's eigendecomposition of L
+        ("lrr", np.linalg, "svd"),           # the solve's thin SVD of Y
+    ])
+    def test_failed_linear_algebra_exits_2_without_report(self, tmp_path, moons_file,
+                                                          monkeypatch, capsys,
+                                                          method, module, kernel):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(module, kernel, fail)
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", moons_file, "--method", method, "--k", 2,
+                    "--max-iter", 1, "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert capsys.readouterr().err.startswith("error (cluster): ")
 
     def test_config_file_overridden_by_flags(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral
+from subspace_lrr.clustering import DEGREE_FLOOR
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 
 
@@ -21,6 +22,18 @@ def block_affinity(rng, sizes, within=1.0, cross=0.0):
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
     return w, labels
+
+
+def ncut_full_eigh(w, k, seed):
+    """ncut_spectral's reference: every eigenpair of the normalized Laplacian
+    from a full `np.linalg.eigh`, then the k bottom eigenvectors."""
+    deg = w.sum(axis=1)
+    d_inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0, deg, DEGREE_FLOOR))
+    l_sym = np.eye(len(w)) - (d_inv_sqrt[:, None] * w) * d_inv_sqrt[None, :]
+    embedding = np.linalg.eigh(0.5 * (l_sym + l_sym.T))[1][:, :k]
+    norms = np.linalg.norm(embedding, axis=1)
+    embedding[norms > 0] /= norms[norms > 0, None]
+    return kmeans(embedding, k, seed=seed)
 
 
 class TestAffinity:
@@ -82,6 +95,19 @@ class TestNcut:
         labels = ncut_spectral(w, 6, seed=0)
         assert len(set(labels.tolist())) == 6
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_partial_eigensolve_matches_full_eigh(self, k):
+        rng = np.random.default_rng(40 + k)
+        for trial in range(5):
+            sizes = rng.integers(3, 12, size=k).tolist()
+            w, _ = block_affinity(rng, sizes, cross=float(rng.uniform(0, 0.3)))
+            np.testing.assert_array_equal(ncut_spectral(w, k, seed=trial),
+                                          ncut_full_eigh(w, k, trial))
+        # k = n asks for the whole spectrum
+        w, _ = block_affinity(rng, [k, k])
+        np.testing.assert_array_equal(ncut_spectral(w, 2 * k, seed=0),
+                                      ncut_full_eigh(w, 2 * k, 0))
+
     def test_k_out_of_range(self):
         w = np.zeros((4, 4))
         with pytest.raises(InvalidParameterError):
@@ -114,6 +140,17 @@ class TestKmeans:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 2))
         np.testing.assert_array_equal(kmeans(x, 4, seed=2), kmeans(x, 4, seed=2))
+
+    def test_column_sign_flips_leave_labels_unchanged(self):
+        # an eigensolver may return any eigenvector with either sign
+        rng = np.random.default_rng(9)
+        for k in (2, 3, 4):
+            x = rng.normal(size=(40, k)) + 3.0 * rng.integers(0, 2, size=(40, k))
+            labels = kmeans(x, k, seed=k)
+            for j in range(k):
+                flipped = x.copy()
+                flipped[:, j] *= -1.0
+                np.testing.assert_array_equal(kmeans(flipped, k, seed=k), labels)
 
     def test_k_larger_than_points(self):
         with pytest.raises(InvalidParameterError):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subspace_lrr import (
     Hyperedge,
@@ -13,6 +16,7 @@ from subspace_lrr import (
     locality_operator_from_hypergraph,
 )
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
+from subspace_lrr.hypergraph import _knn_sets
 
 
 def random_hypergraph(rng, n):
@@ -254,6 +258,18 @@ class TestKnnLaplacians:
         obs = ObservationMatrix(np.array([x], dtype=float))
         np.testing.assert_array_equal(knn_graph_laplacian(obs, k).matrix, graph)
         np.testing.assert_allclose(knn_hypergraph_laplacian(obs, k).matrix, hyper, atol=1e-12)
+
+    # a small integer grid gives many tied distances and some coincident points
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(2, 24)).flatmap(
+        lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))))
+    def test_knn_sets_equal_a_stable_argsort(self, x):
+        obs = ObservationMatrix(x)
+        dist = obs.pairwise_distances()
+        np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")
+        for k in range(1, obs.n):
+            np.testing.assert_array_equal(_knn_sets(obs, k), order[:, :k])
 
     def test_k_out_of_range(self):
         obs = ObservationMatrix([[0.0, 1.0, 3.0]])

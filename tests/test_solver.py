@@ -176,6 +176,23 @@ class TestProximalOperators:
         report = solve(y, None, SolverConfig(mu0=1.0, max_iter=5))
         assert report.svt_fallbacks == 1
 
+    def test_svt_accepts_on_the_power_estimate_when_the_bound_fails(self):
+        # rank 3 plus a flat tail of 97 values at 0.1 tau: no rank-SVT_WIDTH
+        # range brings the tail's Frobenius norm to tau / 2 (Eckart-Young),
+        # but its spectral norm is below it, so the power estimate accepts
+        rng = np.random.default_rng(25)
+        tau = 0.5
+        u = np.linalg.qr(rng.normal(size=(100, 100)))[0]
+        v = np.linalg.qr(rng.normal(size=(100, 100)))[0]
+        s = np.concatenate([[1000.0, 500.0, 200.0], np.full(97, 0.1)]) * tau
+        a = (u * s) @ v.T
+        assert np.linalg.norm(s[solver.SVT_WIDTH:]) > tau / 2 > s[3]
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((100, 0)))
+        for _ in range(3):
+            out = svt(a, tau, warm)
+            np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
+            assert warm.fallbacks == 0 and warm.basis.shape == (100, 3)
+
     # tall, wide and square, on both sides of 64; full rank and rank-deficient
     @pytest.mark.parametrize("m, n, rank", [
         (5, 3, 3), (4, 6, 4), (30, 30, 30), (100, 100, 100),
