@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy import linalg
+from scipy.sparse import linalg as sparse_linalg
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
 
@@ -11,6 +12,14 @@ DEGREE_FLOOR = 1e-12
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 KMEANS_REL_TOL = 1e-6
+
+# Seed of the fixed random Lanczos start vector, so NCut stays deterministic.
+LANCZOS_SEED = 0
+# Taken off the certificate's diagonal before its Cholesky. It exceeds the
+# Cholesky's backward error (of order n * machine epsilon * ||M||, with
+# ||M|| < 5 here), so a success proves the certificate and is no rounding
+# accident; an eigenvalue gap below 2 * CERTIFICATE_MARGIN is not certified.
+CERTIFICATE_MARGIN = 1e-9
 
 
 def affinity_from_coefficients(z):
@@ -84,12 +93,49 @@ def kmeans(x, k, seed=0):
     return best_labels
 
 
+def _certified_top_eigenvectors(a, k):
+    """The k eigenvectors of the k largest eigenvalues of the symmetric
+    matrix `a`, largest first, by implicitly restarted Lanczos (ARPACK), or
+    None when they are not certified.
+
+    With Ritz values mu_1 >= ... >= mu_{k+1} and top-k Ritz vectors V, put
+    theta = (mu_k + mu_{k+1}) / 2 and M = theta I - A + c V V^T, with
+    c = 1 + mu_1 - theta. If M is positive definite, then theta I - A, which
+    differs from M by the rank-k term c V V^T, has at most k negative
+    eigenvalues (Sylvester's law of inertia), so no eigenvalue of A above
+    theta lies outside span V. A Cholesky of M - CERTIFICATE_MARGIN I tests
+    this, and a Lanczos run that missed a copy of a repeated eigenvalue fails.
+    """
+    n = a.shape[0]
+    if k + 1 >= n:
+        return None
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    try:
+        mu, vecs = sparse_linalg.eigsh(a, k=k + 1, which="LA", v0=v0)
+    except sparse_linalg.ArpackError:
+        return None
+    mu, vecs = mu[::-1], vecs[:, ::-1]  # eigsh returns them ascending
+    theta = 0.5 * (mu[k - 1] + mu[k])
+    top = vecs[:, :k]
+    cert = (1.0 + mu[0] - theta) * (top @ top.T)
+    cert -= a
+    cert[np.diag_indices(n)] += theta - CERTIFICATE_MARGIN
+    try:
+        linalg.cholesky(cert, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return top
+
+
 def ncut_spectral(w, k, seed=0):
     """Normalized-cut spectral clustering of a symmetric affinity matrix.
 
     Embeds points into the k bottom eigenvectors of the symmetric
-    normalized Laplacian, row-normalizes, and clusters with seeded k-means.
-    Only those k eigenpairs are computed, by a partial LAPACK eigensolve.
+    normalized Laplacian I - A, A = D^{-1/2} W D^{-1/2}, row-normalizes,
+    and clusters with seeded k-means. Those are the k top eigenvectors of
+    A, taken by certified Lanczos (`_certified_top_eigenvectors`). When the
+    certificate fails, ARPACK fails or k + 1 >= n, a partial dense LAPACK
+    eigensolve of I - A takes only those k instead.
     An all-zero affinity is rejected: any labels drawn from it are arbitrary.
     """
     w = np.asarray(w, dtype=float)
@@ -101,12 +147,16 @@ def ncut_spectral(w, k, seed=0):
     deg = w.sum(axis=1)
     deg = np.where(deg > 0, deg, DEGREE_FLOOR)
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    l_sym = np.eye(n) - (d_inv_sqrt[:, None] * w) * d_inv_sqrt[None, :]
-    l_sym = 0.5 * (l_sym + l_sym.T)
-    try:
-        _, embedding = linalg.eigh(l_sym, subset_by_index=[0, k - 1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("eigendecomposition of the normalized Laplacian failed") from exc
+    a = d_inv_sqrt[:, None] * w
+    a *= d_inv_sqrt[None, :]
+    a = a + a.T
+    a *= 0.5
+    embedding = _certified_top_eigenvectors(a, k)
+    if embedding is None:
+        try:
+            _, embedding = linalg.eigh(np.eye(n) - a, subset_by_index=[0, k - 1])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigendecomposition of the normalized Laplacian failed") from exc
     norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0
     embedding[nonzero] /= norms[nonzero, None]

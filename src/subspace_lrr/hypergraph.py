@@ -53,12 +53,24 @@ class ObservationMatrix:
         return self.data.shape[1]
 
     def pairwise_distances(self):
-        """Dense N x N Euclidean distance matrix between columns."""
-        g = self.data.T @ self.data
+        """Dense N x N Euclidean distance matrix between columns.
+
+        The data are scaled by a power of two that brings the largest
+        magnitude into [0.5, 1), so the Gram product cannot overflow, and the
+        result is scaled back. Scaling by a power of two is exact, so every
+        distance that the unscaled product computes without overflow or
+        underflow comes out the same, bit for bit.
+        """
+        exponent = np.frexp(np.abs(self.data).max(initial=0.0))[1]
+        y = np.ldexp(self.data, -exponent)
+        g = y.T @ y
         sq = np.diag(g)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * g
+        d2 = np.add.outer(sq, sq)
+        g *= 2.0
+        d2 -= g
         np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
+        np.sqrt(d2, out=d2)
+        return np.ldexp(d2, exponent, out=d2)
 
 
 @dataclass(frozen=True)
@@ -111,13 +123,14 @@ class LocalityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInputError("locality operator must be square")
-        scale = np.abs(mat).max() if mat.size else 0.0
-        if scale > 0 and np.abs(mat - mat.T).max() > 1e-12 * scale:
-            raise InvalidInputError("locality operator must be symmetric")
-        mat = 0.5 * (mat + mat.T)
+        # The builders' clique products are exactly symmetric already.
+        if not np.array_equal(mat, mat.T):
+            if np.abs(mat - mat.T).max() > 1e-12 * np.abs(mat).max():
+                raise InvalidInputError("locality operator must be symmetric")
+            mat = 0.5 * (mat + mat.T)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

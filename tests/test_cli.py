@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from subspace_lrr import cli
 from subspace_lrr.cli import main
@@ -13,6 +14,11 @@ from subspace_lrr.cli import main
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def fail_lanczos(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("did not converge", np.empty(0),
+                                                  np.empty((0, 0)))
 
 
 class TestGenerate:
@@ -116,7 +122,7 @@ class TestCluster:
         assert not report_path.exists()
 
     @pytest.mark.parametrize("method, module, kernel", [
-        ("ncut", scipy.linalg, "eigh"),      # the normalized Laplacian's eigensolve
+        ("ncut", scipy.linalg, "eigh"),      # NCut's dense fallback eigensolve
         ("graph-lrr", np.linalg, "eigh"),    # the solve's eigendecomposition of L
         ("lrr", np.linalg, "svd"),           # the solve's thin SVD of Y
     ])
@@ -126,6 +132,8 @@ class TestCluster:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
+        # NCut's Lanczos eigensolve fails first, so its dense fallback runs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail_lanczos)
         monkeypatch.setattr(module, kernel, fail)
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", moons_file, "--method", method, "--k", 2,
@@ -133,6 +141,19 @@ class TestCluster:
         assert code == 2
         assert not report_path.exists()
         assert capsys.readouterr().err.startswith("error (cluster): ")
+
+    def test_failed_lanczos_still_gives_labels(self, tmp_path, moons_file, monkeypatch):
+        # NCut falls back to its dense eigensolve, which finds the same labels
+        reports = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail_lanczos)
+            report_path = tmp_path / f"report-{patched}.json"
+            code = run(["cluster", "--input", moons_file, "--method", "ncut", "--k", 2,
+                        "--report", report_path])
+            assert code == 0
+            reports.append(json.loads(report_path.read_text()))
+        assert reports[1]["labels"] == reports[0]["labels"]
 
     def test_config_file_overridden_by_flags(self, tmp_path, moons_file):
         cfg_path = tmp_path / "cfg.json"

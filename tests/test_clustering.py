@@ -1,7 +1,13 @@
 """Spectral clustering and k-means behavior on controlled affinities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral
 from subspace_lrr.clustering import DEGREE_FLOOR
@@ -22,6 +28,33 @@ def block_affinity(rng, sizes, within=1.0, cross=0.0):
     w = (w + w.T) / 2
     np.fill_diagonal(w, 0.0)
     return w, labels
+
+
+def exact_block_affinity(rng, sizes):
+    """Blocks of random weights in (0.1, 1) with no weight between them, in a
+    random order: eigenvalue 1 of D^{-1/2} W D^{-1/2} repeats once per block."""
+    n = sum(sizes)
+    w = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        w[start:start + size, start:start + size] = rng.uniform(0.1, 1.0, size=(size, size))
+        start += size
+    w = (w + w.T) / 2
+    np.fill_diagonal(w, 0.0)
+    perm = rng.permutation(n)
+    return w[np.ix_(perm, perm)]
+
+
+def dense_eigensolve_spy():
+    """Patch that counts calls of the dense eigensolve NCut falls back to."""
+    return mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh)
+
+
+def ncut_dense(w, k, seed):
+    """ncut_spectral with its Lanczos path failing, so that it takes the dense path."""
+    failure = scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", side_effect=failure):
+        return ncut_spectral(w, k, seed=seed)
 
 
 def ncut_full_eigh(w, k, seed):
@@ -107,6 +140,50 @@ class TestNcut:
         w, _ = block_affinity(rng, [k, k])
         np.testing.assert_array_equal(ncut_spectral(w, 2 * k, seed=0),
                                       ncut_full_eigh(w, 2 * k, 0))
+
+    def test_lanczos_path_needs_no_dense_eigensolve(self):
+        rng = np.random.default_rng(50)
+        for k in (2, 3, 4):
+            w, _ = block_affinity(rng, rng.integers(10, 20, size=k).tolist(), cross=0.05)
+            with dense_eigensolve_spy() as eigh:
+                labels = ncut_spectral(w, k, seed=k)
+            assert eigh.call_count == 0
+            np.testing.assert_array_equal(labels, ncut_full_eigh(w, k, k))
+
+    def test_certificate_rejects_a_lanczos_run_that_missed_the_top_pair(self):
+        real_eigsh = scipy.sparse.linalg.eigsh
+
+        def drop_top_pair(a, k, **kwargs):
+            values, vectors = real_eigsh(a, k=k + 1, **kwargs)
+            return values[:-1], vectors[:, :-1]  # ascending, so the top pair is last
+
+        rng = np.random.default_rng(51)
+        for k in (2, 3, 4):
+            w, _ = block_affinity(rng, rng.integers(10, 20, size=k).tolist(), cross=0.05)
+            with mock.patch.object(scipy.sparse.linalg, "eigsh", drop_top_pair), \
+                    dense_eigensolve_spy() as eigh:
+                labels = ncut_spectral(w, k, seed=k)
+            assert eigh.call_count == 1
+            np.testing.assert_array_equal(labels, ncut_full_eigh(w, k, k))
+
+    # Blocks of 3 or more: a block of 2 has eigenvalue -1 exactly, and several
+    # such blocks would tie at the cut even with no more blocks than k.
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(3, 8), min_size=1, max_size=6),
+           k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_exactly_disconnected_blocks(self, sizes, k, seed):
+        w = exact_block_affinity(np.random.default_rng(seed), sizes)
+        k = min(k, len(w))
+        with dense_eigensolve_spy() as eigh:
+            labels = ncut_spectral(w, k, seed=0)
+        if len(sizes) <= k:
+            # the k bottom eigenvectors span one subspace, whichever solver finds them
+            np.testing.assert_array_equal(labels, ncut_full_eigh(w, k, 0))
+        else:
+            # eigenvalue 1 repeats past the cut, so no k vectors can be certified
+            # and NCut takes the dense path
+            assert eigh.call_count == 1
+            np.testing.assert_array_equal(labels, ncut_dense(w, k, 0))
 
     def test_k_out_of_range(self):
         w = np.zeros((4, 4))

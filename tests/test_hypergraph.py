@@ -1,5 +1,7 @@
 """Locality structures: hand-checked constructions plus matrix properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from subspace_lrr import (
     Hyperedge,
     Hypergraph,
+    LocalityOperator,
     ObservationMatrix,
     epsilon_ball_hyperedges,
     knn_graph_laplacian,
@@ -56,6 +59,58 @@ def assert_laplacian_properties(op):
     np.testing.assert_allclose(op.matrix, op.matrix.T, atol=1e-12)
     np.testing.assert_allclose(op.matrix.sum(axis=1), 0.0, atol=1e-8 * scale)
     assert np.linalg.eigvalsh(op.matrix).min() >= -1e-8 * scale
+
+
+class TestObservationMatrix:
+    def test_pairwise_distances_match_a_direct_difference(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 15))
+        direct = np.linalg.norm(x[:, :, None] - x[:, None, :], axis=0)
+        np.testing.assert_allclose(ObservationMatrix(x).pairwise_distances(), direct,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-600, -3, 5, 600])
+    def test_pairwise_distances_scale_exactly_by_powers_of_two(self, exponent):
+        # 2**600 overflows the unscaled Gram product and 2**-600 underflows it
+        x = np.random.default_rng(13).normal(size=(3, 15))
+        base = ObservationMatrix(x).pairwise_distances()
+        scaled = ObservationMatrix(np.ldexp(x, exponent)).pairwise_distances()
+        np.testing.assert_array_equal(scaled, np.ldexp(base, exponent))
+
+    def test_huge_coordinate_keeps_a_neighbour(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = knn_graph_laplacian(ObservationMatrix([[1e200, 0.0, 1.0, 2.0]]), 1)
+        # point 0 is joined to point 1, the lowest index at its nearest distance
+        assert op.matrix[0, 0] == 1.0
+        assert op.matrix[0, 1] == -1.0
+
+
+class TestLocalityOperator:
+    LAPLACIAN = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(InvalidInputError):
+            LocalityOperator(np.zeros(shape))
+
+    def test_rejects_asymmetry_above_tolerance(self):
+        mat = self.LAPLACIAN.copy()
+        mat[0, 1] += 3e-12  # max |L| = 2, so the tolerance is 2e-12
+        with pytest.raises(InvalidInputError):
+            LocalityOperator(mat)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-12])
+    def test_owns_a_symmetric_read_only_copy(self, asymmetry):
+        mat = self.LAPLACIAN.copy()
+        mat[0, 1] += asymmetry
+        before = mat.copy()
+        op = LocalityOperator(mat)
+        np.testing.assert_array_equal(op.matrix, 0.5 * (before + before.T))
+        np.testing.assert_array_equal(mat, before)
+        assert mat.flags.writeable
+        assert not op.matrix.flags.writeable
+        assert not np.shares_memory(op.matrix, mat)
 
 
 class TestEpsilonBall:
