@@ -135,7 +135,7 @@ def ncut_spectral(w, k, seed=0):
     and clusters with seeded k-means. Those are the k top eigenvectors of
     A, taken by certified Lanczos (`_certified_top_eigenvectors`). When the
     certificate fails, ARPACK fails or k + 1 >= n, a partial dense LAPACK
-    eigensolve of I - A takes only those k instead.
+    eigensolve of A takes the same k, in the same order, instead.
     An all-zero affinity is rejected: any labels drawn from it are arbitrary.
     """
     w = np.asarray(w, dtype=float)
@@ -154,9 +154,9 @@ def ncut_spectral(w, k, seed=0):
     embedding = _certified_top_eigenvectors(a, k)
     if embedding is None:
         try:
-            _, embedding = linalg.eigh(np.eye(n) - a, subset_by_index=[0, k - 1])
+            embedding = linalg.eigh(a, subset_by_index=[n - k, n - 1])[1][:, ::-1]
         except np.linalg.LinAlgError as exc:
-            raise NumericalError("eigendecomposition of the normalized Laplacian failed") from exc
+            raise NumericalError("eigendecomposition of the normalized affinity failed") from exc
     norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0
     embedding[nonzero] /= norms[nonzero, None]

@@ -18,7 +18,7 @@ Optimization and Statistical Learning via ADMM, 2011, section 3.2). The
 stop test is that paper's relative primal and dual residuals (section
 3.3.1). While W has low rank, `svt` thresholds it through a warm-started
 randomized range finder, checked by a residual bound (or, when that fails,
-a power estimate) against an exact fallback.
+a power estimate), and both paths threshold through one thin-SVT kernel.
 """
 
 import math
@@ -90,10 +90,10 @@ class SolverState:
 class SvtWarmStart:
     """What the low-rank path of `svt` carries from one call to the next.
 
-    `basis` holds the right singular vectors the last call kept. It is None
-    when the next call should take the exact path at once: the last call
-    kept SVT_WIDTH or more values, or its low-rank attempt failed the
-    certificate. `fallbacks` counts those failures.
+    `basis` holds the right singular vectors the last call kept, on either
+    path. It is None only after a call that kept SVT_WIDTH or more values,
+    and then the next call takes the exact path at once. `fallbacks` counts
+    the low-rank attempts that failed their certificate.
     """
 
     rng: np.random.Generator
@@ -123,9 +123,7 @@ def svt(a, tau, warm=None):
     """Singular value thresholding: soft-threshold the spectrum of a.
 
     The exact path works from an eigendecomposition of the Gram matrix on
-    the shorter side, so the work is matrix products. Singular vectors are
-    formed only for values above tau, which keeps the sqrt-precision loss
-    of small singular values out of the result.
+    the shorter side (`_thin_svt`), so the work is matrix products.
 
     Given an SvtWarmStart whose basis is set, `svt` first tries a
     randomized range finder of width SVT_WIDTH (Halko, Martinsson & Tropp,
@@ -136,27 +134,31 @@ def svt(a, tau, warm=None):
     bounds the spectral norm's square from above. Only when the bound fails
     do SVT_CERT_STEPS power iterations estimate the spectral norm, from
     below, so an acceptance there rests on an estimate. When the estimate
-    fails too, the exact path runs and the fallback is counted. Either way
-    the warm start is updated for the next call.
+    fails too, the failure is counted and the exact path runs. Either way
+    the warm start keeps the right singular vectors of the values kept, or
+    None when there are SVT_WIDTH or more of them.
     """
     if tau < 0:
         raise InvalidParameterError("SVT threshold must be nonnegative")
-    if warm is None:
-        return _svt_exact(a, tau)[0]
-    if warm.basis is not None and min(a.shape) > SVT_WIDTH:
+    out = None
+    if warm is not None and warm.basis is not None and min(a.shape) > SVT_WIDTH:
         out, kept = _svt_low_rank(a, tau, warm.basis, warm.rng)
-        if out is None:
-            warm.fallbacks += 1
-            warm.basis = None
-            return _svt_exact(a, tau)[0]
-    else:
-        out, kept = _svt_exact(a, tau)
-    warm.basis = kept if kept.shape[1] < SVT_WIDTH else None
+        warm.fallbacks += out is None
+    if out is None:
+        u, shrunk, kept = _thin_svt(a, tau)
+        out = (u * shrunk) @ kept.T
+    if warm is not None:
+        warm.basis = kept if kept.shape[1] < SVT_WIDTH else None
     return out
 
 
-def _svt_exact(a, tau):
-    """svt(a, tau) and the right singular vectors of the values kept."""
+def _thin_svt(a, tau):
+    """The singular triplets of a with values above tau, as (u, s - tau, v).
+
+    They come from `eigh` of the Gram matrix on the shorter side. Singular
+    vectors are formed only for values above tau, which keeps the
+    sqrt-precision loss of small singular values out of the result.
+    """
     wide = a.shape[1] > a.shape[0]
     if wide:
         a = a.T
@@ -166,9 +168,9 @@ def _svt_exact(a, tau):
         raise NumericalError("eigensolver failed during singular value thresholding") from exc
     s = np.sqrt(np.maximum(lam, 0.0))
     keep = s > tau
-    u = a @ (v[:, keep] / s[keep])
-    out = (u * (s[keep] - tau)) @ v[:, keep].T
-    return (out.T, u) if wide else (out, v[:, keep])
+    v, s = v[:, keep], s[keep]
+    u = a @ (v / s)
+    return (v, s - tau, u) if wide else (u, s - tau, v)
 
 
 def _svt_low_rank(a, tau, start, rng):
@@ -194,12 +196,9 @@ def _svt_low_rank(a, tau, start, rng):
             x /= norm
         if np.linalg.norm(a @ x - q @ (b @ x)) > tau / 2:
             return None, None
-    # q b = q ub diag(s) vb^T, from the small Gram matrix b b^T = ub diag(s^2) ub^T
-    lam, ub = np.linalg.eigh(b @ b.T)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    keep = s > tau
-    vb = b.T @ (ub[:, keep] / s[keep])
-    return ((q @ ub[:, keep]) * (s[keep] - tau)) @ vb.T, vb
+    # svt(q b) = (q u) diag(s - tau) v^T, from the thin SVT of the small b
+    u, shrunk, v = _thin_svt(b, tau)
+    return ((q @ u) * shrunk) @ v.T, v
 
 
 def grad_q(state, locality, observations, cfg, primal):

@@ -125,6 +125,9 @@ class TestCluster:
         ("ncut", scipy.linalg, "eigh"),      # NCut's dense fallback eigensolve
         ("graph-lrr", np.linalg, "eigh"),    # the solve's eigendecomposition of L
         ("lrr", np.linalg, "svd"),           # the solve's thin SVD of Y
+        # the first W-step tries the low-rank SVT, so the first eigh is the
+        # range finder's SVT_WIDTH x SVT_WIDTH one
+        ("lrr", np.linalg, "eigh"),
     ])
     def test_failed_linear_algebra_exits_2_without_report(self, tmp_path, moons_file,
                                                           monkeypatch, capsys,

@@ -176,6 +176,34 @@ class TestProximalOperators:
         report = solve(y, None, SolverConfig(mu0=1.0, max_iter=5))
         assert report.svt_fallbacks == 1
 
+    def test_svt_retries_the_low_rank_path_after_a_fallback(self, monkeypatch):
+        # rank 3 plus a flat tail of 97 values at 0.8 tau: the tail's spectral
+        # norm exceeds tau / 2, so every attempt fails its certificate, but the
+        # exact path keeps 3 < SVT_WIDTH values and so sets the basis again
+        rng = np.random.default_rng(26)
+        tau = 0.5
+        u = np.linalg.qr(rng.normal(size=(100, 100)))[0]
+        v = np.linalg.qr(rng.normal(size=(100, 100)))[0]
+        s = np.concatenate([[1000.0, 500.0, 200.0], np.full(97, 0.8)]) * tau
+        a = (u * s) @ v.T
+        attempts = []
+        real_low_rank = solver._svt_low_rank
+
+        def counted_low_rank(*args):
+            attempts.append(args)
+            return real_low_rank(*args)
+
+        monkeypatch.setattr(solver, "_svt_low_rank", counted_low_rank)
+        # a warm start without a basis takes the exact path and keeps its vectors
+        exact = SvtWarmStart(np.random.default_rng(0), None)
+        np.testing.assert_array_equal(svt(a, tau, exact), svt(a, tau))
+        assert not attempts and exact.basis.shape == (100, 3)
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((100, 0)))
+        for calls in (1, 2):
+            np.testing.assert_array_equal(svt(a, tau, warm), svt(a, tau))
+            assert len(attempts) == calls and warm.fallbacks == calls
+            np.testing.assert_array_equal(warm.basis, exact.basis)
+
     def test_svt_accepts_on_the_power_estimate_when_the_bound_fails(self):
         # rank 3 plus a flat tail of 97 values at 0.1 tau: no rank-SVT_WIDTH
         # range brings the tail's Frobenius norm to tau / 2 (Eckart-Young),
