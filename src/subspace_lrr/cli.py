@@ -96,6 +96,7 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         "method_params": params,
         "converged": True,  # the baselines run no solver; a solve overwrites these
         "iterations": 0,
+        "svt_fallbacks": 0,
         "residual_history": [],
     }
     coefficients = None
@@ -111,6 +112,7 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         coefficients = result.Z
         report["converged"] = bool(result.converged)
         report["iterations"] = result.iterations
+        report["svt_fallbacks"] = result.svt_fallbacks
         report["residual_history"] = result.residual_history
 
     report["labels"] = [int(v) for v in labels]

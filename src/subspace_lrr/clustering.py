@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy import linalg
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
@@ -11,7 +12,9 @@ DEGREE_FLOOR = 1e-12
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
-KMEANS_REL_TOL = 1e-6
+# k-means values within this relative gap tie, and the lower index wins, as in
+# exact arithmetic: rounding picks no nearest center, re-seed point or restart.
+KMEANS_TIE_RTOL = 1e-9
 
 # Seed of the fixed random Lanczos start vector, so NCut stays deterministic.
 LANCZOS_SEED = 0
@@ -49,35 +52,33 @@ def _plus_plus_init(x, k, rng):
 
 
 def _lloyd(x, k, rng):
-    n = x.shape[0]
+    """Lloyd steps until no label changes; returns the labels and their inertia."""
     centers = _plus_plus_init(x, k, rng)
-    prev_inertia = np.inf
+    # one row per coordinate: numpy reduces over a short inner axis slowly
+    points = np.ascontiguousarray(x.T)
+    labels = None
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        inertia = d2[np.arange(n), labels].sum()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centers[c] = x[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster from the farthest point
-                far = d2.min(axis=1).argmax()
-                centers[c] = x[far]
-        if prev_inertia - inertia <= KMEANS_REL_TOL * max(prev_inertia, 1e-300):
+        d2 = ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)  # k x n
+        dist2 = d2.min(axis=0)
+        # the first True, so the lowest tied index
+        new_labels = (d2 <= dist2 * (1.0 + KMEANS_TIE_RTOL)).argmax(axis=0)
+        if np.array_equal(new_labels, labels):
             break
-        prev_inertia = inertia
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, inertia
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=row, minlength=k) for row in points], axis=1)
+        centers = sums / np.maximum(counts, 1)[:, None]
+        # the point farthest from its center
+        centers[counts == 0] = x[(dist2 >= dist2.max() * (1.0 - KMEANS_TIE_RTOL)).argmax()]
+    return labels, float(dist2.sum())
 
 
 def kmeans(x, k, seed=0):
     """Best-of-restarts Lloyd iteration with seeded plus-plus initialization.
 
     Deterministic given (x, k, seed): restart r uses seed + r, and the
-    lowest-inertia restart wins with ties broken by restart index.
+    lowest-inertia restart wins, with ties (`KMEANS_TIE_RTOL`) broken by
+    restart index. Clusters are numbered by first appearance.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -88,9 +89,10 @@ def kmeans(x, k, seed=0):
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(x, k, np.random.default_rng(seed + r))
-        if inertia < best_inertia:
+        if inertia < best_inertia * (1.0 - KMEANS_TIE_RTOL):
             best_labels, best_inertia = labels, inertia
-    return best_labels
+    _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _certified_top_eigenvectors(a, k):
@@ -136,7 +138,8 @@ def ncut_spectral(w, k, seed=0):
     A, taken by certified Lanczos (`_certified_top_eigenvectors`). When the
     certificate fails, ARPACK fails or k + 1 >= n, a partial dense LAPACK
     eigensolve of A takes the same k, in the same order, instead.
-    An all-zero affinity is rejected: any labels drawn from it are arbitrary.
+    An all-zero affinity is rejected, and so is one with more than k
+    connected components: any labels drawn from them are arbitrary.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
@@ -145,14 +148,19 @@ def ncut_spectral(w, k, seed=0):
     if not np.any(w):
         raise InvalidInputError("affinity is all zero, so it has no structure to cut")
     deg = w.sum(axis=1)
-    deg = np.where(deg > 0, deg, DEGREE_FLOOR)
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
+    linked = deg > 0
+    d_inv_sqrt = 1.0 / np.sqrt(np.where(linked, deg, DEGREE_FLOOR))
     a = d_inv_sqrt[:, None] * w
     a *= d_inv_sqrt[None, :]
     a = a + a.T
     a *= 0.5
     embedding = _certified_top_eigenvectors(a, k)
     if embedding is None:
+        # eigenvalue 1 repeats once per component, but not for a zero-degree point
+        components = csgraph.connected_components(w, directed=False)[0] - np.sum(~linked)
+        if components > k:
+            raise InvalidInputError(f"affinity has {components} connected components, more "
+                                    f"than k = {k}, so its cut is not unique")
         try:
             embedding = linalg.eigh(a, subset_by_index=[n - k, n - 1])[1][:, ::-1]
         except np.linalg.LinAlgError as exc:

@@ -78,6 +78,7 @@ class TestCluster:
         assert len(report["labels"]) == 30
         assert 0.0 <= report["accuracy"] <= 1.0
         assert report["solver_config"]["lam"] == 0.01
+        assert report["svt_fallbacks"] == 0
 
     def test_missing_input_exits_2(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -104,6 +105,7 @@ class TestCluster:
         report = json.loads(report_path.read_text())
         assert report["converged"] is False
         assert report["iterations"] == 5
+        assert 0 <= report["svt_fallbacks"] <= 5
 
     def test_all_zero_coefficients_exit_2_without_report(self, tmp_path, moons_file,
                                                           monkeypatch):
@@ -144,6 +146,19 @@ class TestCluster:
         assert code == 2
         assert not report_path.exists()
         assert capsys.readouterr().err.startswith("error (cluster): ")
+
+    def test_more_components_than_k_exits_2_without_report(self, tmp_path, moons_file,
+                                                           monkeypatch, capsys):
+        # three exactly disconnected blocks tie at the cut for k = 2
+        w = np.kron(np.eye(3), np.ones((10, 10)))
+        np.fill_diagonal(w, 0.0)
+        monkeypatch.setattr(cli, "_gaussian_affinity", lambda obs: w)
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", moons_file, "--method", "ncut", "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert "3 connected components, more than k = 2" in capsys.readouterr().err
 
     def test_failed_lanczos_still_gives_labels(self, tmp_path, moons_file, monkeypatch):
         # NCut falls back to its dense eigensolve, which finds the same labels

@@ -1,15 +1,16 @@
 """Spectral clustering and k-means behavior on controlled affinities."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral
+from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral, two_moons
 from subspace_lrr.clustering import DEGREE_FLOOR
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 
@@ -50,11 +51,12 @@ def dense_eigensolve_spy():
     return mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh)
 
 
-def ncut_dense(w, k, seed):
-    """ncut_spectral with its Lanczos path failing, so that it takes the dense path."""
-    failure = scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
-    with mock.patch.object(scipy.sparse.linalg, "eigsh", side_effect=failure):
-        return ncut_spectral(w, k, seed=seed)
+def assert_lloyd_fixed_point(x, labels):
+    """Each point is labelled with the index of its nearest cluster mean."""
+    means = np.array([x[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+    d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    own = d2[np.arange(len(x)), labels]
+    np.testing.assert_array_less(own, d2.min(axis=1) + 1e-12 * max(d2.max(), 1.0))
 
 
 def ncut_full_eigh(w, k, seed):
@@ -171,19 +173,39 @@ class TestNcut:
     @settings(max_examples=100, deadline=None)
     @given(sizes=st.lists(st.integers(3, 8), min_size=1, max_size=6),
            k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    # fewer blocks than k: rows of different blocks are orthogonal, so
+    # k-means meets distances that tie in exact arithmetic
+    @example(sizes=[7, 3], k=5, seed=3970467543)
+    @example(sizes=[7, 6], k=4, seed=175046)
     def test_exactly_disconnected_blocks(self, sizes, k, seed):
         w = exact_block_affinity(np.random.default_rng(seed), sizes)
         k = min(k, len(w))
-        with dense_eigensolve_spy() as eigh:
-            labels = ncut_spectral(w, k, seed=0)
         if len(sizes) <= k:
             # the k bottom eigenvectors span one subspace, whichever solver finds them
-            np.testing.assert_array_equal(labels, ncut_full_eigh(w, k, 0))
+            np.testing.assert_array_equal(ncut_spectral(w, k, seed=0), ncut_full_eigh(w, k, 0))
         else:
-            # eigenvalue 1 repeats past the cut, so no k vectors can be certified
-            # and NCut takes the dense path
-            assert eigh.call_count == 1
-            np.testing.assert_array_equal(labels, ncut_dense(w, k, 0))
+            # eigenvalue 1 repeats past the cut, so no k vectors can be certified,
+            # and the dense path refuses to pick k of them
+            with dense_eigensolve_spy() as eigh, \
+                    pytest.raises(InvalidInputError, match=f"{len(sizes)} connected components"):
+                ncut_spectral(w, k, seed=0)
+            assert eigh.call_count == 0
+
+    def test_zero_degree_points_count_as_no_component(self):
+        # two blocks and three isolated points, with k = 2, on the dense path
+        blocks = exact_block_affinity(np.random.default_rng(52), [4, 4])
+        order = np.random.default_rng(53).permutation(11)
+        w = np.zeros((11, 11))
+        w[:8, :8] = blocks
+        w = w[np.ix_(order, order)]
+        failure = scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0),
+                                                          np.empty((0, 0)))
+        with mock.patch.object(scipy.sparse.linalg, "eigsh", side_effect=failure), \
+                dense_eigensolve_spy() as eigh:
+            labels = ncut_spectral(w, 2, seed=0)
+        assert eigh.call_count == 1
+        linked = w.sum(axis=1) > 0
+        assert len(set(labels[linked].tolist())) == 2
 
     def test_k_out_of_range(self):
         w = np.zeros((4, 4))
@@ -228,6 +250,46 @@ class TestKmeans:
                 flipped = x.copy()
                 flipped[:, j] *= -1.0
                 np.testing.assert_array_equal(kmeans(flipped, k, seed=k), labels)
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (6, 2), (8, 3)])
+    def test_rotation_leaves_tied_labels_unchanged(self, n, k):
+        # orthonormal points: every k-means++ seed, assignment and restart
+        # ties in exact arithmetic, and a rotation changes only the rounding
+        labels = kmeans(np.eye(n), k, seed=0)
+        for trial in range(5):
+            q = np.linalg.qr(np.random.default_rng(trial).normal(size=(n, n)))[0]
+            np.testing.assert_array_equal(kmeans(q, k, seed=0), labels)
+
+    def test_two_moons_labels_are_a_lloyd_fixed_point(self):
+        x = two_moons(seed=0).observations.data.T
+        assert_lloyd_fixed_point(x, kmeans(x, 2, seed=0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(2, 5), size=st.integers(3, 15), seed=st.integers(0, 2**32 - 1))
+    def test_separated_blobs_give_a_lloyd_fixed_point(self, k, size, seed):
+        rng = np.random.default_rng(seed)
+        centers = 20.0 * rng.normal(size=(k, 3))
+        x = (centers[:, None, :] + rng.normal(size=(k, size, 3))).reshape(k * size, 3)
+        labels = kmeans(x, k, seed=seed % 1000)
+        assert labels.min() >= 0 and labels.max() < k
+        assert_lloyd_fixed_point(x, labels)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_identical_points(self, k):
+        # every k-means++ draw after the first has zero weight, and every
+        # cluster but one is empty and re-seeded
+        x = np.ones((5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = kmeans(x, k, seed=3)
+            again = kmeans(x, k, seed=3)
+        assert labels.min() >= 0 and labels.max() < k
+        np.testing.assert_array_equal(labels, again)
+
+    def test_clusters_numbered_by_first_appearance(self):
+        rng = np.random.default_rng(10)
+        x = np.concatenate([rng.normal(size=(6, 2)) + 40.0 * c for c in (2, 0, 1)])
+        np.testing.assert_array_equal(kmeans(x, 3, seed=0), np.repeat([0, 1, 2], 6))
 
     def test_k_larger_than_points(self):
         with pytest.raises(InvalidParameterError):
