@@ -33,32 +33,29 @@ def affinity_from_coefficients(z):
     return w
 
 
-def _plus_plus_init(x, k, rng):
-    """Seeded k-means++ center selection."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    first = rng.integers(n)
-    centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
+def _sq_dists(points, centers):
+    """k x n squared distances from the rows of `centers` to the columns of `points`."""
+    return ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)
+
+
+def _plus_plus_init(points, k, rng):
+    """Seeded k-means++ center selection; returns the k x d centers."""
+    n = points.shape[1]
+    chosen = [rng.integers(n)]
+    d2 = _sq_dists(points, points[:, chosen].T)[0]
+    for _ in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
-    return centers
+        chosen.append(rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, _sq_dists(points, points[:, chosen[-1:]].T)[0])
+    return points[:, chosen].T
 
 
-def _lloyd(x, k, rng):
+def _lloyd(points, k, rng):
     """Lloyd steps until no label changes; returns the labels and their inertia."""
-    centers = _plus_plus_init(x, k, rng)
-    # one row per coordinate: numpy reduces over a short inner axis slowly
-    points = np.ascontiguousarray(x.T)
+    centers = _plus_plus_init(points, k, rng)
     labels = None
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[None, :, :] - centers[:, :, None]) ** 2).sum(axis=1)  # k x n
+        d2 = _sq_dists(points, centers)
         dist2 = d2.min(axis=0)
         # the first True, so the lowest tied index
         new_labels = (d2 <= dist2 * (1.0 + KMEANS_TIE_RTOL)).argmax(axis=0)
@@ -69,7 +66,7 @@ def _lloyd(x, k, rng):
         sums = np.stack([np.bincount(labels, weights=row, minlength=k) for row in points], axis=1)
         centers = sums / np.maximum(counts, 1)[:, None]
         # the point farthest from its center
-        centers[counts == 0] = x[(dist2 >= dist2.max() * (1.0 - KMEANS_TIE_RTOL)).argmax()]
+        centers[counts == 0] = points[:, (dist2 >= dist2.max() * (1.0 - KMEANS_TIE_RTOL)).argmax()]
     return labels, float(dist2.sum())
 
 
@@ -84,11 +81,10 @@ def kmeans(x, k, seed=0):
     n = x.shape[0]
     if not (1 <= k <= n):
         raise InvalidParameterError(f"k must be in [1, {n}]")
-    if k == 1:
-        return np.zeros(n, dtype=int)
+    points = np.ascontiguousarray(x.T)  # d x n: numpy reduces over a short inner axis slowly
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd(x, k, np.random.default_rng(seed + r))
+        labels, inertia = _lloyd(points, k, np.random.default_rng(seed + r))
         if inertia < best_inertia * (1.0 - KMEANS_TIE_RTOL):
             best_labels, best_inertia = labels, inertia
     _, first, inverse = np.unique(best_labels, return_index=True, return_inverse=True)

@@ -21,7 +21,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
+            labels = np.array(self.labels, dtype=int)
             if labels.shape != (self.observations.n,):
                 raise InvalidInputError("label count must match observation count")
             labels.setflags(write=False)

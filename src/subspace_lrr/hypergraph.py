@@ -197,7 +197,8 @@ def _clique_operator(n, members, sizes, weights):
 
     H is the n x E incidence matrix of the edges packed end to end in
     `members`: edge e adds w_e (|e| diag(1_e) - 1_e 1_e^T), whose quadratic
-    form sums w_e ||z_i - z_j||^2 over the vertex pairs of e.
+    form sums w_e ||z_i - z_j||^2 over the vertex pairs of e. Edge ids rise
+    along `members`, so H, and L, do not depend on the order inside an edge.
     """
     sizes = np.asarray(sizes, dtype=int)
     weights = np.asarray(weights, dtype=float)
@@ -218,12 +219,11 @@ def locality_operator_from_hypergraph(graph):
 
 
 def _knn_sets(observations, k):
-    """k nearest neighbors of each point (n x k), ordered by distance and
-    ties broken by lower index: the first k columns of a stable argsort.
+    """k nearest neighbors of each point (n x k), ties going to the lower
+    index, each row in ascending index order: a stable argsort's first k, sorted.
 
     Selection, not a sort: each row keeps every distance below its k-th
     smallest t, then the lowest-index entries equal to t until it has k.
-    Only those k are sorted.
     """
     n = observations.n
     if not (1 <= k <= n - 1):
@@ -240,9 +240,7 @@ def _knn_sets(observations, k):
     extra &= np.cumsum(extra, axis=1) <= need[over, None]
     ties[over] = extra
     keep |= ties
-    cols = np.nonzero(keep)[1].reshape(n, k)  # ascending index within each row
-    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    return np.nonzero(keep)[1].reshape(n, k)
 
 
 def knn_graph_laplacian(observations, k):

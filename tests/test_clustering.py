@@ -235,6 +235,12 @@ class TestKmeans:
         labels = kmeans(rng.normal(size=(8, 3)), 1, seed=0)
         np.testing.assert_array_equal(labels, np.zeros(8, dtype=int))
 
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 40)).T
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(kmeans(x, 3, seed=1), kmeans(np.ascontiguousarray(x), 3, seed=1))
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(30, 2))

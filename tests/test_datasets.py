@@ -58,6 +58,13 @@ class TestGenerators:
         with pytest.raises(InvalidParameterError):
             three_circles(n_per_circle=2)
 
+    def test_labels_are_copied(self):
+        labels = np.array([0, 1, 1])
+        ds = LabeledDataset(ObservationMatrix(np.zeros((2, 3))), labels, name="x")
+        assert labels.flags.writeable and ds.labels is not labels
+        labels[0] = 5
+        np.testing.assert_array_equal(ds.labels, [0, 1, 1])
+
     def test_label_length_validation(self):
         obs = ObservationMatrix(np.zeros((2, 4)))
         with pytest.raises(InvalidInputError):

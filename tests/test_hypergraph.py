@@ -19,7 +19,7 @@ from subspace_lrr import (
     locality_operator_from_hypergraph,
 )
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
-from subspace_lrr.hypergraph import _knn_sets
+from subspace_lrr.hypergraph import _clique_operator, _knn_sets
 
 
 def random_hypergraph(rng, n):
@@ -324,7 +324,20 @@ class TestKnnLaplacians:
         np.fill_diagonal(dist, np.inf)
         order = np.argsort(dist, axis=1, kind="stable")
         for k in range(1, obs.n):
-            np.testing.assert_array_equal(_knn_sets(obs, k), order[:, :k])
+            np.testing.assert_array_equal(_knn_sets(obs, k), np.sort(order[:, :k], axis=1))
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_star_member_order_leaves_the_operator_unchanged(self, k):
+        # edge ids rise along the packed members, so H's CSR layout does not
+        # depend on the order of the members inside each star
+        rng = np.random.default_rng(k)
+        obs = ObservationMatrix(rng.normal(size=(2, 30)))
+        stars = np.column_stack([np.arange(obs.n), _knn_sets(obs, k)])
+        sizes, weights = np.full(obs.n, k + 1), np.full(obs.n, 1.0 / (k + 1))
+        expected = knn_hypergraph_laplacian(obs, k).matrix.tobytes()
+        for _ in range(5):
+            shuffled = rng.permuted(stars, axis=1)
+            assert _clique_operator(obs.n, shuffled.ravel(), sizes, weights).matrix.tobytes() == expected
 
     def test_k_out_of_range(self):
         obs = ObservationMatrix([[0.0, 1.0, 3.0]])
