@@ -7,9 +7,6 @@ from scipy.sparse import linalg as sparse_linalg
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
 
-# Added to zero rows of the affinity degree so D^{-1/2} stays finite.
-DEGREE_FLOOR = 1e-12
-
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 # k-means values within this relative gap tie, and the lower index wins, as in
@@ -28,6 +25,8 @@ CERTIFICATE_MARGIN = 1e-9
 def affinity_from_coefficients(z):
     """Symmetric nonnegative affinity (|Z| + |Z^T|) / 2 with zero diagonal."""
     z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] != z.shape[1]:
+        raise InvalidInputError("coefficient matrix must be square")
     w = 0.5 * (np.abs(z) + np.abs(z.T))
     np.fill_diagonal(w, 0.0)
     return w
@@ -78,10 +77,16 @@ def kmeans(x, k, seed=0):
     restart index. Clusters are numbered by first appearance.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or not np.isfinite(x).all():
+        raise InvalidInputError("k-means points must be a finite 2-D array")
     n = x.shape[0]
     if not (1 <= k <= n):
         raise InvalidParameterError(f"k must be in [1, {n}]")
     points = np.ascontiguousarray(x.T)  # d x n: numpy reduces over a short inner axis slowly
+    # a power of two brings the largest magnitude into [0.5, 1), so squared
+    # distances cannot overflow; scaling by it is exact, so it changes no label
+    # that the unscaled distances give without overflow or underflow
+    points = np.ldexp(points, -np.frexp(np.abs(points).max(initial=0.0))[1])
     best_labels, best_inertia = None, np.inf
     for r in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(points, k, np.random.default_rng(seed + r))
@@ -134,10 +139,13 @@ def ncut_spectral(w, k, seed=0):
     A, taken by certified Lanczos (`_certified_top_eigenvectors`). When the
     certificate fails, ARPACK fails or k + 1 >= n, a partial dense LAPACK
     eigensolve of A takes the same k, in the same order, instead.
-    An all-zero affinity is rejected, and so is one with more than k
-    connected components: any labels drawn from them are arbitrary.
+    A W that is not square, exactly symmetric, nonnegative and finite is
+    rejected before any eigensolve, and so is an all-zero one or one with
+    more than k connected components: any labels drawn from them are arbitrary.
     """
     w = np.asarray(w, dtype=float)
+    if w.ndim != 2 or not np.array_equal(w, w.T) or not np.all((w >= 0) & (w < np.inf)):
+        raise InvalidInputError("affinity must be square, exactly symmetric, nonnegative, finite")
     n = w.shape[0]
     if not (2 <= k <= n):
         raise InvalidParameterError(f"k must be in [2, {n}]")
@@ -145,11 +153,10 @@ def ncut_spectral(w, k, seed=0):
         raise InvalidInputError("affinity is all zero, so it has no structure to cut")
     deg = w.sum(axis=1)
     linked = deg > 0
-    d_inv_sqrt = 1.0 / np.sqrt(np.where(linked, deg, DEGREE_FLOOR))
-    a = d_inv_sqrt[:, None] * w
-    a *= d_inv_sqrt[None, :]
-    a = a + a.T
-    a *= 0.5
+    # s_i s_j equals s_j s_i, so a is as symmetric as w, and it stays finite and
+    # above 0 for any degrees; a zero degree's stand-in 1.0 meets only zeros of w
+    d_sqrt = np.sqrt(np.where(linked, deg, 1.0))
+    a = w / np.outer(d_sqrt, d_sqrt)
     embedding = _certified_top_eigenvectors(a, k)
     if embedding is None:
         # eigenvalue 1 repeats once per component, but not for a zero-degree point

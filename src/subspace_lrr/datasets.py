@@ -124,6 +124,8 @@ def load_dataset(path, name=None):
                 labels.append(int(cells[m]))
             except ValueError:
                 raise ParseError("non-integer label", lineno) from None
+            if not -(2**63) <= labels[-1] < 2**63:
+                raise ParseError("label outside the 64-bit integer range", lineno)
     if not columns:
         raise ParseError("no data rows", 2)
     data = np.array(columns).T

@@ -126,6 +126,8 @@ class LocalityOperator:
         mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInputError("locality operator must be square")
+        if not np.isfinite(mat).all():
+            raise InvalidInputError("locality operator must be finite")
         # The builders' clique products are exactly symmetric already.
         if not np.array_equal(mat, mat.T):
             if np.abs(mat - mat.T).max() > 1e-12 * np.abs(mat).max():

@@ -138,7 +138,7 @@ def svt(a, tau, warm=None):
     the warm start keeps the right singular vectors of the values kept, or
     None when there are SVT_WIDTH or more of them.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise InvalidParameterError("SVT threshold must be nonnegative")
     out = None
     if warm is not None and warm.basis is not None and min(a.shape) > SVT_WIDTH:

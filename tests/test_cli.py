@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, determinism, report contents."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspace_lrr import cli
 from subspace_lrr.cli import main
@@ -206,6 +210,16 @@ class TestCluster:
         assert not report_path.exists()
         assert str(data) in capsys.readouterr().err
 
+    def test_label_outside_int64_exits_2_without_report(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("dim_0,dim_1,label\n0.0,0.0,0\n1.0,1.0,100000000000000000000000000000\n")
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", "kmeans", "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert "line 3" in capsys.readouterr().err
+
     def test_non_utf8_config_exits_2(self, tmp_path, moons_file, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b'{"lam": 0.5\xff}')
@@ -254,3 +268,63 @@ class TestCluster:
             run(["cluster", "--input", moons_file, "--method", "dbscan", "--k", 2])
         assert err.value.code == 2
 
+
+
+# Cells a hand-written or damaged CSV file may hold.
+ODD_CELLS = ["", " ", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1e308", "-1e308",
+             "5e-324", "abc", "0x10", "1_0", " 2.5 ", "1.0.0", "+3", "\x00"]
+LABELS = ["100000000000000000000000000000", str(2**63), str(-(2**63) - 1), str(2**63 - 1),
+          "1.0", "", "x", " 1 ", "-7", "1000000"]
+
+
+@st.composite
+def csv_bytes(draw):
+    """A dataset file. Any file may have blank lines, CRLF or CR line ends,
+    sparse labels and coordinates from subnormal to near overflow; a damaged
+    one may also have a BOM, a bad header, ragged rows, non-numeric,
+    non-finite or out-of-range cells, or a byte that is not UTF-8."""
+    damaged = draw(st.booleans())
+    m = draw(st.integers(1, 3))
+    labelled = draw(st.booleans())
+    header = [f"dim_{i}" for i in range(m)] + (["label"] if labelled else [])
+    coord = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-3, 3).map(str)
+    label = (st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1)).map(str)
+    if damaged:
+        coord = coord | st.floats().map(repr) | st.sampled_from(ODD_CELLS)
+        label = label | st.integers(-(2**70), 2**70).map(str) | st.sampled_from(LABELS)
+        if draw(st.integers(0, 4)) == 0:
+            header[draw(st.integers(0, len(header) - 1))] = draw(st.sampled_from(["x", "", "lbl"]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        row = [draw(coord) for _ in range(m)] + ([draw(label)] if labelled else [])
+        if damaged and draw(st.integers(0, 4)) == 0:
+            row = row[:draw(st.integers(0, len(row)))] + draw(st.lists(coord, max_size=2))
+        lines.append(",".join(row))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n"]))
+    if damaged:
+        text = draw(st.sampled_from(["", "\ufeff"])) + text
+    raw = text.encode("utf-8")
+    if damaged and draw(st.integers(0, 9)) == 0:
+        raw += b"\xff"
+    return raw
+
+
+class TestClusterFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=csv_bytes(), k=st.integers(1, 4))
+    # a label past int64 once escaped load_dataset as an OverflowError
+    @example(raw=b"dim_0,label\n1.0,0\n2.0,100000000000000000000000000000\n", k=2)
+    # coordinates whose squared distances overflow once escaped k-means
+    @example(raw=b"dim_0,label\n1e200,0\n-1e200,1\n0.0,0\n", k=2)
+    def test_any_input_file_exits_0_2_or_3(self, raw, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, report_path = Path(tmp) / "data.csv", Path(tmp) / "report.json"
+            data.write_bytes(raw)
+            code = run(["cluster", "--input", data, "--method", "kmeans", "--k", k,
+                        "--report", report_path])
+            assert code in (0, 2, 3)
+            assert report_path.exists() == (code != 2)

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspace_lrr import accuracy, affinity_from_coefficients, kmeans, ncut_spectral, two_moons
-from subspace_lrr.clustering import DEGREE_FLOOR
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 
 
@@ -51,6 +50,11 @@ def dense_eigensolve_spy():
     return mock.patch.object(scipy.linalg, "eigh", wraps=scipy.linalg.eigh)
 
 
+def lanczos_spy():
+    """Patch that records the calls of NCut's Lanczos eigensolve."""
+    return mock.patch.object(scipy.sparse.linalg, "eigsh", wraps=scipy.sparse.linalg.eigsh)
+
+
 def assert_lloyd_fixed_point(x, labels):
     """Each point is labelled with the index of its nearest cluster mean."""
     means = np.array([x[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
@@ -63,7 +67,7 @@ def ncut_full_eigh(w, k, seed):
     """ncut_spectral's reference: every eigenpair of the normalized Laplacian
     from a full `np.linalg.eigh`, then the k bottom eigenvectors."""
     deg = w.sum(axis=1)
-    d_inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0, deg, DEGREE_FLOOR))
+    d_inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0))
     l_sym = np.eye(len(w)) - (d_inv_sqrt[:, None] * w) * d_inv_sqrt[None, :]
     embedding = np.linalg.eigh(0.5 * (l_sym + l_sym.T))[1][:, :k]
     norms = np.linalg.norm(embedding, axis=1)
@@ -90,6 +94,11 @@ class TestAffinity:
             np.testing.assert_array_equal(w, w.T)
             assert np.all(w >= 0)
             np.testing.assert_array_equal(np.diag(w), 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_coefficients_raise(self, shape):
+        with pytest.raises(InvalidInputError):
+            affinity_from_coefficients(np.zeros(shape))
 
 
 class TestNcut:
@@ -207,6 +216,45 @@ class TestNcut:
         linked = w.sum(axis=1) > 0
         assert len(set(labels[linked].tolist())) == 2
 
+    @pytest.mark.parametrize("defect", ["asymmetric", "negative", "nan", "inf", "non-square",
+                                        "3-d"])
+    def test_affinity_outside_the_contract_raises_before_any_eigensolve(self, defect):
+        w, _ = block_affinity(np.random.default_rng(60), [6, 6], cross=0.05)
+        if defect == "asymmetric":
+            w[0, 1] += 1e-12
+        elif defect in ("negative", "nan", "inf"):
+            w[0, 1] = w[1, 0] = {"negative": -0.01, "nan": np.nan, "inf": np.inf}[defect]
+        elif defect == "non-square":
+            w = w[:, :-1]
+        else:
+            w = np.stack([w, w])
+        with lanczos_spy() as eigsh, dense_eigensolve_spy() as eigh, \
+                pytest.raises(InvalidInputError, match="affinity must be"):
+            ncut_spectral(w, 2, seed=0)
+        assert eigsh.call_count == 0
+        assert eigh.call_count == 0
+
+    def test_lanczos_gets_an_exactly_symmetric_matrix(self):
+        # columns of very different scale, as in a learned affinity: scaling
+        # the rows and then the columns would round a_ij and a_ji apart
+        rng = np.random.default_rng(61)
+        z = rng.uniform(size=(200, 200)) * rng.uniform(0.1, 10.0, size=200)
+        with lanczos_spy() as eigsh:
+            ncut_spectral(affinity_from_coefficients(z), 3, seed=0)
+        a = eigsh.call_args.args[0]
+        np.testing.assert_array_equal(a, a.T)
+
+    def test_subnormal_degree_leaves_the_normalized_affinity_finite(self):
+        # a point whose weights are all subnormal, as a Gaussian affinity gives
+        # a far outlier: the square of 1 / sqrt(its degree) would overflow
+        w, truth = block_affinity(np.random.default_rng(62), [8, 8], cross=0.05)
+        w = np.pad(w, (0, 1))
+        w[-1, :3] = w[:3, -1] = 1e-310
+        with lanczos_spy() as eigsh:
+            labels = ncut_spectral(w, 2, seed=0)
+        assert np.isfinite(eigsh.call_args.args[0]).all()
+        assert accuracy(labels[:-1], truth) == 1.0
+
     def test_k_out_of_range(self):
         w = np.zeros((4, 4))
         with pytest.raises(InvalidParameterError):
@@ -296,6 +344,20 @@ class TestKmeans:
         rng = np.random.default_rng(10)
         x = np.concatenate([rng.normal(size=(6, 2)) + 40.0 * c for c in (2, 0, 1)])
         np.testing.assert_array_equal(kmeans(x, 3, seed=0), np.repeat([0, 1, 2], 6))
+
+    @pytest.mark.parametrize("x", [np.arange(6.0), [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]],
+                                   [[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0]]],
+                             ids=["1-d", "nan", "inf"])
+    def test_points_outside_the_contract_raise(self, x):
+        with pytest.raises(InvalidInputError):
+            kmeans(x, 2, seed=0)
+
+    @pytest.mark.parametrize("exponent", [-1000, 900])
+    def test_power_of_two_scale_leaves_labels_unchanged(self, exponent):
+        # unscaled, the squared distances would underflow to 0 or overflow
+        x = two_moons(seed=0).observations.data.T
+        np.testing.assert_array_equal(kmeans(np.ldexp(x, exponent), 2, seed=0),
+                                      kmeans(x, 2, seed=0))
 
     def test_k_larger_than_points(self):
         with pytest.raises(InvalidParameterError):

@@ -114,6 +114,20 @@ class TestFileIO:
             load_dataset(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("label", ["100000000000000000000000000000", str(2**63),
+                                       str(-(2**63) - 1)])
+    def test_label_outside_int64_names_line(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"dim_0,label\n1.0,0\n2.0,{label}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="64-bit") as err:
+            load_dataset(path)
+        assert err.value.line == 3
+
+    def test_int64_extreme_labels_load(self, tmp_path):
+        path = tmp_path / "extreme.csv"
+        path.write_text(f"dim_0,label\n1.0,{2**63 - 1}\n2.0,{-(2**63)}\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_dataset(path).labels, [2**63 - 1, -(2**63)])
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n0.0,1.0\n", encoding="utf-8")

@@ -94,6 +94,13 @@ class TestLocalityOperator:
         with pytest.raises(InvalidInputError):
             LocalityOperator(np.zeros(shape))
 
+    @pytest.mark.parametrize("mat", [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+                                     [[1.0, -np.inf], [-np.inf, 1.0]]],
+                             ids=["nan", "inf-asymmetric", "inf-symmetric"])
+    def test_rejects_non_finite_entries(self, mat):
+        with pytest.raises(InvalidInputError, match="finite"):
+            LocalityOperator(np.array(mat))
+
     def test_rejects_asymmetry_above_tolerance(self):
         mat = self.LAPLACIAN.copy()
         mat[0, 1] += 3e-12  # max |L| = 2, so the tolerance is 2e-12

@@ -241,6 +241,9 @@ class TestProximalOperators:
     def test_svt_negative_threshold_raises(self):
         with pytest.raises(InvalidParameterError):
             svt(np.eye(3), -1e-3)
+        # NaN < 0 is false, so only a test of tau >= 0 turns it away
+        with pytest.raises(InvalidParameterError):
+            svt(np.eye(3), float("nan"))
 
 
 class TestGradient:
