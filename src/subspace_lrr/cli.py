@@ -51,12 +51,22 @@ BENCHMARK_CONFIG = {
 
 def _gaussian_affinity(obs):
     """Kernel affinity for the raw-data NCut baseline; bandwidth is the
-    median pairwise distance."""
+    median pairwise distance.
+
+    Distances and bandwidth are first scaled by the power of two that brings
+    the bandwidth into [0.5, 1), so neither square overflows or underflows
+    at any data scale. The scaling is exact, so data whose squares already
+    fit get the same affinity, bit for bit.
+    """
     dist = obs.pairwise_distances()
     iu = np.triu_indices(obs.n, k=1)
     sigma = np.median(dist[iu])
     sigma = sigma if sigma > 0 else 1.0
-    w = np.exp(-(dist**2) / (2.0 * sigma**2))
+    exponent = np.frexp(sigma)[1]
+    w = np.ldexp(dist, -exponent, out=dist)
+    np.square(w, out=w)
+    w /= -2.0 * np.ldexp(sigma, -exponent) ** 2
+    np.exp(w, out=w)
     np.fill_diagonal(w, 0.0)
     return w
 

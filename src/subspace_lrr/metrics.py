@@ -24,7 +24,12 @@ def hungarian(cost):
         raise InvalidInputError("cost matrix must be finite")
     weights = np.rint(np.ldexp(cost, 24 - np.frexp(np.abs(cost).max(initial=0.0))[1]))
     weights += 2.0**24 + 1.0
-    return min_weight_full_bipartite_matching(sparse.csr_array(weights))[1].astype(int)
+    n = len(weights)
+    # every entry is at least 1, so the CSR layout is the dense row-major one
+    indptr = n * np.arange(n + 1)
+    indices = np.tile(np.arange(n), n)
+    graph = sparse.csr_array((weights.ravel(), indices, indptr), shape=(n, n))
+    return min_weight_full_bipartite_matching(graph)[1].astype(int)
 
 
 def confusion_matrix(pred, truth):

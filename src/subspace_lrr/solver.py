@@ -13,6 +13,10 @@ in two blocks and then takes a dual ascent step:
    thin SVD of Y;
 3. dual ascent on Y = YZ + E, Z = J and Z = W.
 
+The loop runs in the scaled form of that paper's section 3.1.1: it keeps
+U = M / mu for each multiplier M, so the dual step adds each primal residual
+to its U, and no iteration multiplies or divides an n x n array by mu.
+
 Two-block ADMM converges for any fixed mu (Boyd et al., Distributed
 Optimization and Statistical Learning via ADMM, 2011, section 3.2). The
 stop test is that paper's relative primal and dual residuals (section
@@ -25,6 +29,7 @@ import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
 from .hypergraph import ObservationMatrix
@@ -67,9 +72,9 @@ class SolverState:
     W: np.ndarray
     J: np.ndarray
     E: np.ndarray
-    M1: np.ndarray  # multiplier of Y = YZ + E
-    M2: np.ndarray  # of Z = J
-    M3: np.ndarray  # of Z = W
+    U1: np.ndarray  # scaled multiplier M1 / mu of Y = YZ + E
+    U2: np.ndarray  # M2 / mu, of Z = J
+    U3: np.ndarray  # M3 / mu, of Z = W
     mu: float
 
     @classmethod
@@ -79,9 +84,9 @@ class SolverState:
             W=np.zeros((n, n)),
             J=np.zeros((n, n)),
             E=np.zeros((m, n)),
-            M1=np.zeros((m, n)),
-            M2=np.zeros((n, n)),
-            M3=np.zeros((n, n)),
+            U1=np.zeros((m, n)),
+            U2=np.zeros((n, n)),
+            U3=np.zeros((n, n)),
             mu=mu0,
         )
 
@@ -109,8 +114,8 @@ class SolveReport:
     iterations: int
     residual_history: list = field(repr=False)  # relative primal residual r
     change_history: list = field(repr=False)    # relative dual residual s
-    M1: np.ndarray = field(repr=False)  # final multipliers of Y = YZ + E
-    M2: np.ndarray = field(repr=False)  # and of Z = J
+    M1: np.ndarray = field(repr=False)  # final multipliers mu U1 of Y = YZ + E
+    M2: np.ndarray = field(repr=False)  # and mu U2 of Z = J
     svt_fallbacks: int  # low-rank W-steps that failed their certificate
 
 
@@ -179,8 +184,8 @@ def _svt_low_rank(a, tau, start, rng):
     estimate exceed tau / 2."""
     m, n = a.shape
     omega = np.hstack([start, rng.standard_normal((n, SVT_WIDTH - start.shape[1]))])
-    q = np.linalg.qr(a @ omega)[0]
-    q = np.linalg.qr(a @ (a.T @ q))[0]
+    q = _orthonormal_basis(a @ omega)
+    q = _orthonormal_basis(a @ (a.T @ q))
     b = q.T @ a
     x = rng.standard_normal(n)  # drawn even when unused, so the stream is the same
     # ||a - q b||_F^2, as q has orthonormal columns, with m eps ||a||_F^2 for
@@ -201,6 +206,16 @@ def _svt_low_rank(a, tau, start, rng):
     return ((q @ u) * shrunk) @ v.T, v
 
 
+def _orthonormal_basis(x):
+    """The Q of a thin QR factorization of the tall x, from LAPACK's geqrf
+    and orgqr; the R factor is never formed."""
+    qr, tau, _, info = lapack.dgeqrf(x)
+    q, _, info_q = lapack.dorgqr(qr, tau, overwrite_a=True)
+    if info or info_q:
+        raise NumericalError("QR factorization failed in the low-rank SVT")
+    return q
+
+
 def grad_q(state, locality, observations, cfg, primal):
     """Gradient of the Z-step's objective at state.Z: the augmented
     Lagrangian in Z at fixed W, J, E and multipliers.
@@ -208,8 +223,9 @@ def grad_q(state, locality, observations, cfg, primal):
     `primal` is the residual Y - YZ - E at state.Z and state.E. The Z-step
     zeroes this gradient; `solve` forms its solution directly.
     """
-    out = state.mu * (2.0 * state.Z - state.J - state.W) + state.M2 + state.M3
-    out -= observations.data.T @ (state.mu * primal + state.M1)
+    out = 2.0 * state.Z - state.J - state.W + state.U2 + state.U3
+    out -= observations.data.T @ (primal + state.U1)
+    out *= state.mu
     if locality is not None:
         out += 2.0 * cfg.beta * (state.Z @ locality.matrix)
     return out
@@ -217,20 +233,24 @@ def grad_q(state, locality, observations, cfg, primal):
 
 def update_E(state, fit, cfg):
     """Prox step on E; `fit` is Y - YZ at the current Z."""
-    return shrink(fit + state.M1 / state.mu, cfg.gamma / state.mu)
+    return shrink(fit + state.U1, cfg.gamma / state.mu)
 
 
 def update_J(state, cfg):
     """Prox of lam ||J||_1 + indicator(J >= 0): one clip at lam / mu."""
-    return np.maximum(state.Z + state.M2 / state.mu - cfg.lam / state.mu, 0.0)
+    out = state.Z + state.U2
+    out -= cfg.lam / state.mu
+    return np.maximum(out, 0.0, out=out)
 
 
 def update_multipliers(state, primal):
     """Dual ascent on Y = YZ + E, Z = J and Z = W, whose residuals `primal`
-    holds in that order. Returns (M1, M2, mu, M3). mu is fixed; it stays at
-    index 2, where perfbench's span tracer reads it."""
-    mu = state.mu
-    return state.M1 + mu * primal[0], state.M2 + mu * primal[1], mu, state.M3 + mu * primal[2]
+    holds in that order: each is added to its scaled multiplier in place.
+    Returns (U1, U2, mu, U3). mu is fixed; it stays at index 2, where
+    perfbench's span tracer reads it."""
+    for u, p in zip((state.U1, state.U2, state.U3), primal):
+        u += p
+    return state.U1, state.U2, state.mu, state.U3
 
 
 def check_convergence(residual, change):
@@ -238,9 +258,8 @@ def check_convergence(residual, change):
 
 
 def _norm(*blocks):
-    """Frobenius norm of the blocks stacked together; a number stands for
-    a block of that norm."""
-    return math.hypot(*(np.linalg.norm(b) for b in blocks))
+    """Frobenius norm of the arrays stacked together."""
+    return math.hypot(*(math.sqrt(np.vdot(b, b)) for b in blocks))
 
 
 def solve(observations, locality=None, cfg=None):
@@ -267,12 +286,14 @@ def solve(observations, locality=None, cfg=None):
     if y_fro == 0:
         raise InvalidInputError("all-zero data matrix")
 
-    # The Z-step's factors: Y = U diag(s) V^T and L = Q diag(b) Q^T. Column j
-    # of Z Q solves (mu Y^T Y + c_j I) x = g, where g is column j of R Q and
-    # c_j = 2 mu + 2 beta b_j. By Woodbury, x = g / c_j - V diag(d_j) V^T g
-    # with d_j = mu s^2 / ((c_j + mu s^2) c_j). Back in the original basis,
-    # Z = R P - V ((d * (V^T R Q)) Q^T) with P = Q diag(1 / c) Q^T: one n x n
-    # product per iteration, and none without an operator.
+    # The Z-step, divided by mu: (Y^T Y + 2 I) Z + 2 (beta / mu) Z L = R, with
+    # R = Y^T (Y - E + U1) + J + W - U2 - U3. From Y = U diag(s) V^T and
+    # L = Q diag(b) Q^T, column j of Z Q solves (Y^T Y + c_j I) x = g, where g
+    # is column j of R Q and c_j = 2 + 2 beta b_j / mu. By Woodbury,
+    # x = g / c_j - V diag(d_j) V^T g with d_j = s^2 / ((c_j + s^2) c_j). Back
+    # in the original basis, Z = R P - V ((d * (V^T R Q)) Q^T) with
+    # P = Q diag(1 / c) Q^T: one n x n product per iteration, and none without
+    # an operator. c, d and P are formed once per solve.
     try:
         _, s, vt = np.linalg.svd(y, full_matrices=False)
         b, q = (np.zeros(n), None) if locality is None else np.linalg.eigh(locality.matrix)
@@ -282,8 +303,8 @@ def solve(observations, locality=None, cfg=None):
         raise InvalidInputError("locality operator must be positive semidefinite")
     b = np.maximum(b, 0.0)  # what is left below zero is rounding
     mu = cfg.mu0
-    c = 2.0 * mu + 2.0 * cfg.beta * b
-    d = mu * s[:, None] ** 2 / (c + mu * s[:, None] ** 2) / c
+    c = 2.0 + 2.0 * cfg.beta * b / mu
+    d = s[:, None] ** 2 / (c + s[:, None] ** 2) / c
     p = None if q is None else (q / c) @ q.T
 
     state = SolverState.initial(m, n, mu)
@@ -292,28 +313,34 @@ def solve(observations, locality=None, cfg=None):
     residual_history = []
     change_history = []
     converged = False
+    tiny = np.finfo(float).tiny
 
     for iterations in range(1, cfg.max_iter + 1):
-        state.W = svt(state.Z + state.M3 / mu, 1.0 / mu, warm)
+        state.W = svt(state.Z + state.U3, 1.0 / mu, warm)
         state.J = update_J(state, cfg)
         state.E = update_E(state, fit, cfg)
 
-        r = y.T @ (mu * (y - state.E) + state.M1) + mu * (state.J + state.W) - state.M2 - state.M3
+        r = y.T @ (y - state.E + state.U1)
+        r += state.J + state.W
+        r -= state.U2
+        r -= state.U3
         if q is None:
             z = r / c - vt.T @ (d * (vt @ r))
         else:
             z = r @ p - vt.T @ ((d * (vt @ r @ q)) @ q.T)
         yz = y @ z
-        dz_norm = np.linalg.norm(z - state.Z)
+        dz_norm = _norm(z - state.Z)
         state.Z, fit_prev, fit = z, fit, y - yz
 
         primal = (fit - state.E, z - state.J, z - state.W)
-        state.M1, state.M2, _, state.M3 = update_multipliers(state, primal)
+        update_multipliers(state, primal)
+        z_norm = _norm(z)
         residual = _norm(*primal) / max(
-            _norm(state.E, state.J, state.W), _norm(yz, z, z), y_fro
+            _norm(state.E, state.J, state.W), math.hypot(_norm(yz), z_norm, z_norm), y_fro
         )
-        change = mu * _norm(fit_prev - fit, dz_norm, dz_norm) / max(
-            _norm(state.M1, state.M2, state.M3), np.finfo(float).tiny
+        # the dual residual mu ||(Y dZ, dZ, dZ)|| relative to ||M||, where M = mu U
+        change = mu * math.hypot(_norm(fit_prev - fit), dz_norm, dz_norm) / max(
+            mu * _norm(state.U1, state.U2, state.U3), tiny
         )
         residual_history.append(residual)
         change_history.append(change)
@@ -328,7 +355,7 @@ def solve(observations, locality=None, cfg=None):
         iterations=iterations,
         residual_history=residual_history,
         change_history=change_history,
-        M1=state.M1,
-        M2=state.M2,
+        M1=mu * state.U1,
+        M2=mu * state.U2,
         svt_fallbacks=warm.fallbacks,
     )

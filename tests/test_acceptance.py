@@ -192,9 +192,9 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
         cfg = SolverConfig(beta=float(rng.uniform(0, 3)))
         state = SolverState(
             Z=rng.normal(size=(n, n)), J=rng.normal(size=(n, n)),
-            E=rng.normal(size=(m, n)), M1=rng.normal(size=(m, n)),
-            M2=rng.normal(size=(n, n)), mu=float(rng.uniform(0.5, 2.0)),
-            W=rng.normal(size=(n, n)), M3=rng.normal(size=(n, n)),
+            E=rng.normal(size=(m, n)), U1=rng.normal(size=(m, n)),
+            U2=rng.normal(size=(n, n)), mu=float(rng.uniform(0.5, 2.0)),
+            W=rng.normal(size=(n, n)), U3=rng.normal(size=(n, n)),
         )
         assert_gradient_matches_finite_differences(state, locality, obs, cfg)
 

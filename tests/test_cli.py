@@ -12,8 +12,9 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspace_lrr import cli
+from subspace_lrr import ObservationMatrix, cli
 from subspace_lrr.cli import main
+from subspace_lrr.datasets import save_dataset, two_moons
 
 
 def run(argv):
@@ -267,6 +268,40 @@ class TestCluster:
         with pytest.raises(SystemExit) as err:
             run(["cluster", "--input", moons_file, "--method", "dbscan", "--k", 2])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_ncut_baseline_labels_data_at_extreme_scales(self, tmp_path, scale):
+        # the squared distances and bandwidth of these data overflow or underflow
+        moons = two_moons(n_per_moon=20, seed=1)
+        labels = []
+        for factor in (1.0, scale):
+            data = tmp_path / f"moons-{factor}.csv"
+            save_dataset(replace(moons, observations=ObservationMatrix(
+                moons.observations.data * factor)), data)
+            report_path = tmp_path / f"report-{factor}.json"
+            code = run(["cluster", "--input", data, "--method", "ncut", "--k", 2,
+                        "--report", report_path])
+            assert code == 0
+            labels.append(json.loads(report_path.read_text())["labels"])
+        assert labels[1] == labels[0]
+
+
+class TestGaussianAffinity:
+    def test_equals_the_kernel_formula(self):
+        obs = two_moons(n_per_moon=30, seed=2).observations
+        dist = obs.pairwise_distances()
+        sigma = np.median(dist[np.triu_indices(obs.n, k=1)])
+        expected = np.exp(-(dist**2) / (2.0 * sigma**2))
+        np.fill_diagonal(expected, 0.0)
+        assert cli._gaussian_affinity(obs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_scale_leaves_the_affinity_unchanged(self, exponent):
+        # at 2^600 the squares overflow, at 2^-600 they underflow to zero
+        obs = two_moons(n_per_moon=30, seed=2).observations
+        scaled = ObservationMatrix(np.ldexp(obs.data, exponent))
+        w = cli._gaussian_affinity(obs)
+        assert cli._gaussian_affinity(scaled).tobytes() == w.tobytes()
 
 
 

@@ -39,9 +39,9 @@ def random_state(rng, m, n, mu):
         W=rng.normal(size=(n, n)),
         J=rng.normal(size=(n, n)),
         E=rng.normal(size=(m, n)),
-        M1=rng.normal(size=(m, n)),
-        M2=rng.normal(size=(n, n)),
-        M3=rng.normal(size=(n, n)),
+        U1=rng.normal(size=(m, n)),
+        U2=rng.normal(size=(n, n)),
+        U3=rng.normal(size=(n, n)),
         mu=mu,
     )
 
@@ -55,9 +55,9 @@ def smooth_objective(z, state, locality, observations, cfg):
     """The Z-step's objective q(Z), the augmented Lagrangian in Z up to a
     constant, evaluated directly."""
     y = observations.data
-    r1 = y - y @ z - state.E + state.M1 / state.mu
-    r2 = z - state.J + state.M2 / state.mu
-    r3 = z - state.W + state.M3 / state.mu
+    r1 = y - y @ z - state.E + state.U1
+    r2 = z - state.J + state.U2
+    r3 = z - state.W + state.U3
     val = cfg.beta * float(np.trace(z @ locality.matrix @ z.T))
     for r in (r1, r2, r3):
         val += 0.5 * state.mu * float(np.sum(r * r))
@@ -238,6 +238,23 @@ class TestProximalOperators:
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9 * norm)
             np.testing.assert_allclose(svt(a.T, tau), out.T, rtol=0, atol=1e-9 * norm)
 
+    # the range finder's widths at n = 200 and at the smallest low-rank n;
+    # full rank, rank-deficient, and with a zero column
+    @pytest.mark.parametrize("m, rank, zero_column", [
+        (200, 16, False), (17, 16, False), (200, 5, False), (17, 3, False), (200, 7, True),
+    ])
+    def test_range_finder_basis_is_orthonormal_and_spans_the_input(self, m, rank, zero_column):
+        rng = np.random.default_rng(m + rank)
+        x = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, solver.SVT_WIDTH))
+        if zero_column:
+            x[:, 3] = 0.0
+        given = x.copy()
+        q = solver._orthonormal_basis(x)
+        np.testing.assert_array_equal(x, given)
+        assert q.shape == x.shape
+        np.testing.assert_allclose(q.T @ q, np.eye(solver.SVT_WIDTH), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(q @ (q.T @ x), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
+
     def test_svt_negative_threshold_raises(self):
         with pytest.raises(InvalidParameterError):
             svt(np.eye(3), -1e-3)
@@ -268,9 +285,9 @@ class TestGradient:
             W=z.copy(),
             J=z.copy(),
             E=obs.data - obs.data @ z,
-            M1=np.zeros((3, 4)),
-            M2=np.zeros((4, 4)),
-            M3=np.zeros((4, 4)),
+            U1=np.zeros((3, 4)),
+            U2=np.zeros((4, 4)),
+            U3=np.zeros((4, 4)),
             mu=1.0,
         )
         cfg = SolverConfig(beta=0.0)
@@ -308,7 +325,7 @@ class TestUpdates:
         locality = knn_graph_laplacian(obs, 2)
         cfg = SolverConfig(mu0=1.0, max_iter=1)
         state = SolverState.initial(3, 4, cfg.mu0)
-        state.W = svt(state.Z + state.M3 / cfg.mu0, 1.0 / cfg.mu0)
+        state.W = svt(state.Z + state.U3, 1.0 / cfg.mu0)
         state.J = update_J(state, cfg)
         state.E = update_E(state, obs.data, cfg)
         expected = dense_z_step(state, locality, obs, cfg)
@@ -352,7 +369,7 @@ class TestUpdates:
         state = random_state(rng, 2, 3, mu=1.3)
         fit = obs.data - obs.data @ state.Z
         out = update_E(state, fit, cfg)
-        resid = obs.data - obs.data @ state.Z + state.M1 / state.mu
+        resid = obs.data - obs.data @ state.Z + state.U1
         grid = np.linspace(-6.0, 6.0, 24001)
         for idx in np.ndindex(out.shape):
             objective = cfg.gamma * np.abs(grid) + 0.5 * state.mu * (
@@ -366,7 +383,7 @@ class TestUpdates:
         state = random_state(rng, 2, 3, mu=0.9)
         out = update_J(state, cfg)
         assert np.all(out >= 0)
-        arg = state.Z + state.M2 / state.mu
+        arg = state.Z + state.U2
         grid = np.linspace(0.0, 8.0, 16001)
         for idx in np.ndindex(out.shape):
             objective = cfg.lam * grid + 0.5 * state.mu * (grid - arg[idx]) ** 2
@@ -386,16 +403,16 @@ class TestUpdates:
     @settings(deadline=None)  # a shared machine can stall one example past the default
     @given(
         z=arrays(np.float64, (3, 3), elements=st.floats(-1e6, 1e6)),
-        m2=arrays(np.float64, (3, 3), elements=st.floats(-1e6, 1e6)),
+        u2=arrays(np.float64, (3, 3), elements=st.floats(-1e6, 1e6)),
         mu=st.floats(1.0, 1e3),
         lam=st.floats(0.0, 1e3),
     )
-    def test_update_J_is_nonnegative_soft_threshold(self, z, m2, mu, lam):
+    def test_update_J_is_nonnegative_soft_threshold(self, z, u2, mu, lam):
         # the one clip max(x - tau, 0) equals max(shrink(x, tau), 0) entry by entry
         state = SolverState.initial(2, 3, mu)
-        state.Z, state.M2 = z, m2
+        state.Z, state.U2 = z, u2
         cfg = SolverConfig(lam=lam)
-        expected = np.maximum(shrink(z + m2 / mu, lam / mu), 0.0)
+        expected = np.maximum(shrink(z + u2, lam / mu), 0.0)
         np.testing.assert_array_equal(update_J(state, cfg), expected)
 
     def test_multipliers_feasible_fixed_point(self):
@@ -404,27 +421,31 @@ class TestUpdates:
         z = rng.normal(size=(3, 3))
         state = SolverState(
             Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
-            M1=rng.normal(size=(2, 3)), M2=rng.normal(size=(3, 3)),
-            M3=rng.normal(size=(3, 3)), mu=1.0,
+            U1=rng.normal(size=(2, 3)), U2=rng.normal(size=(3, 3)),
+            U3=rng.normal(size=(3, 3)), mu=1.0,
         )
+        # the dual step works in place, so compare against copies
+        before = [u.copy() for u in (state.U1, state.U2, state.U3)]
         primal = (primal_residual(state, obs), state.Z - state.J, state.Z - state.W)
-        m1, m2, _, m3 = update_multipliers(state, primal)
-        np.testing.assert_allclose(m1, state.M1, atol=1e-12)
-        np.testing.assert_allclose(m2, state.M2, atol=1e-12)
-        np.testing.assert_allclose(m3, state.M3, atol=1e-12)
+        u1, u2, _, u3 = update_multipliers(state, primal)
+        for new, old in zip((u1, u2, u3), before):
+            np.testing.assert_allclose(new, old, atol=1e-12)
 
     def test_penalty_growth_rules(self):
         # mu is fixed: update_multipliers returns state.mu at index 2 (where
         # the benchmark's span tracer reads it) whatever the residuals, and
-        # adds mu times each residual to its multiplier
+        # adds each residual to its scaled multiplier U = M / mu, in place
         rng = np.random.default_rng(11)
         state = random_state(rng, 2, 3, mu=1.7)
         for scale in (0.0, 1e-8, 10.0):
-            primal = tuple(scale * rng.normal(size=x.shape) for x in (state.M1, state.M2, state.M3))
-            m1, m2, mu, m3 = update_multipliers(state, primal)
+            scaled = (state.U1, state.U2, state.U3)
+            before = [u.copy() for u in scaled]
+            primal = tuple(scale * rng.normal(size=u.shape) for u in scaled)
+            u1, u2, mu, u3 = update_multipliers(state, primal)
             assert mu == 1.7
-            for new, old, p in zip((m1, m2, m3), (state.M1, state.M2, state.M3), primal):
-                np.testing.assert_array_equal(new, old + 1.7 * p)
+            for new, u, old, p in zip((u1, u2, u3), scaled, before, primal):
+                assert new is u
+                np.testing.assert_array_equal(new, old + p)
 
     def test_check_convergence(self):
         rng = np.random.default_rng(12)
@@ -432,7 +453,7 @@ class TestUpdates:
         z = rng.normal(size=(3, 3))
         state = SolverState(
             Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
-            M1=np.zeros((2, 3)), M2=np.zeros((3, 3)), M3=np.zeros((3, 3)), mu=1.0,
+            U1=np.zeros((2, 3)), U2=np.zeros((3, 3)), U3=np.zeros((3, 3)), mu=1.0,
         )
 
         def residual():
@@ -457,14 +478,50 @@ def z_step_rhs(state, locality, observations, cfg):
 
 def dense_z_step(state, locality, observations, cfg):
     """The Z-step's solution from one dense solve of its normal equations."""
+    rhs = z_step_rhs(state, locality, observations, cfg)
+    return dense_sylvester_solve(rhs, state.mu, locality, observations, cfg)
+
+
+def dense_sylvester_solve(rhs, mu, locality, observations, cfg):
+    """Z from mu (Y^T Y + 2 I) Z + 2 beta Z L = rhs, by one dense solve."""
     y = observations.data
     n = y.shape[1]
     lap = np.zeros((n, n)) if locality is None else locality.matrix
     # column-major vec: vec(A Z) = (I kron A) vec Z and vec(Z B) = (B^T kron I) vec Z
-    op = np.kron(np.eye(n), state.mu * (y.T @ y + 2.0 * np.eye(n)))
+    op = np.kron(np.eye(n), mu * (y.T @ y + 2.0 * np.eye(n)))
     op += np.kron(2.0 * cfg.beta * lap.T, np.eye(n))
-    rhs = z_step_rhs(state, locality, observations, cfg)
     return np.linalg.solve(op, rhs.flatten(order="F")).reshape((n, n), order="F")
+
+
+def unscaled_admm(observations, locality, cfg):
+    """The ADMM loop written out with the unscaled multipliers M, each
+    gaining mu times its primal residual, and a dense Z-step; the reference
+    for `solve`, which keeps U = M / mu. Runs all max_iter iterations and
+    returns Z, E, M1, M2 and the histories of r and s."""
+    y = observations.data
+    m, n = y.shape
+    mu = cfg.mu0
+
+    def stacked(*blocks):
+        return np.sqrt(sum(np.sum(b**2) for b in blocks))
+
+    z, e = np.zeros((n, n)), np.zeros((m, n))
+    m1, m2, m3 = np.zeros((m, n)), np.zeros((n, n)), np.zeros((n, n))
+    residuals, changes = [], []
+    for _ in range(cfg.max_iter):
+        w = svt(z + m3 / mu, 1.0 / mu)
+        j = np.maximum(z + m2 / mu - cfg.lam / mu, 0.0)
+        e = shrink(y - y @ z + m1 / mu, cfg.gamma / mu)
+        rhs = y.T @ (mu * (y - e) + m1) + mu * (j + w) - m2 - m3
+        z_new = dense_sylvester_solve(rhs, mu, locality, observations, cfg)
+        primal = (y - y @ z_new - e, z_new - j, z_new - w)
+        m1, m2, m3 = (mult + mu * p for mult, p in zip((m1, m2, m3), primal))
+        dz = z_new - z
+        z = z_new
+        residuals.append(stacked(*primal) / max(stacked(e, j, w), stacked(y @ z, z, z),
+                                                stacked(y)))
+        changes.append(mu * stacked(y @ dz, dz, dz) / stacked(m1, m2, m3))
+    return z, e, m1, m2, residuals, changes
 
 
 def check_loop_invariants(monkeypatch, obs, locality, cfg):
@@ -523,9 +580,10 @@ class TestSolveLoop:
         real_mult = solver.update_multipliers
 
         def traced_mult(state, primal):
-            out = real_mult(state, primal)
-            steps.append((state.Z, state.W, state.J, state.E, primal, out))
-            return out
+            u1, u2, mu, u3 = real_mult(state, primal)
+            # the dual step updates U in place: keep this iteration's M = mu U
+            steps.append((state.Z, state.W, state.J, state.E, primal, (mu * u1, mu * u2, mu * u3)))
+            return u1, u2, mu, u3
 
         monkeypatch.setattr(solver, "update_multipliers", traced_mult)
         report = solve(obs, None, cfg)
@@ -537,7 +595,7 @@ class TestSolveLoop:
         assert report.change_history[-1] <= solver.EPS2
         # the histories hold the relative primal residual r and dual residual s
         z_prev = np.zeros((10, 10))
-        for (z, w, j, e, primal, (m1, m2, _, m3)), r, s in zip(
+        for (z, w, j, e, primal, (m1, m2, m3)), r, s in zip(
             steps, report.residual_history, report.change_history
         ):
             stacked = np.linalg.norm(np.concatenate([p.ravel() for p in primal]))
@@ -576,7 +634,7 @@ class TestSolveLoop:
     ], ids=["eps-ball", "knn-graph", "knn-hypergraph", "none"])
     def test_z_step_is_svt_of_gradient_step(self, monkeypatch, builder):
         """The nuclear-norm step is an SVT: every iteration's W is
-        SVT(Z + M3 / mu, 1 / mu) at the previous iterate. The Z-step after it
+        SVT(Z + U3, 1 / mu) at the previous iterate, U3 = M3 / mu. The Z-step after it
         is exact: check_loop_invariants finds grad_q zero at the new Z."""
         rng = np.random.default_rng(18)
         obs = ObservationMatrix(rng.normal(size=(3, 10)))
@@ -591,19 +649,36 @@ class TestSolveLoop:
 
         def traced_mult(state, primal):
             out = real_mult(state, primal)
-            iterates.append((state.Z, out[3]))
+            iterates.append((state.Z, out[3].copy()))  # U3 changes in place
             return out
 
         monkeypatch.setattr(solver, "svt", traced_svt)
         monkeypatch.setattr(solver, "update_multipliers", traced_mult)
         report = check_loop_invariants(monkeypatch, obs, locality, cfg)
         assert len(svt_calls) == report.iterations
-        for (a, tau, w), (z, m3) in zip(svt_calls, iterates):
+        for (a, tau, w), (z, u3) in zip(svt_calls, iterates):
             assert tau == 1.0 / cfg.mu0
-            np.testing.assert_array_equal(a, z + m3 / cfg.mu0)
+            np.testing.assert_array_equal(a, z + u3)
             # n = 10 is below SVT_WIDTH, so the solve takes the exact path
             np.testing.assert_array_equal(w, svt(a, tau))
         np.testing.assert_array_equal(report.Z, iterates[-1][0])
+
+    @pytest.mark.parametrize("mu0", [0.25, 4.0])
+    def test_scaled_form_matches_the_unscaled_loop(self, mu0):
+        # away from mu = 1, where U = M / mu differs from M; n = 10 is below
+        # SVT_WIDTH, so every W-step takes the exact path
+        rng = np.random.default_rng(22)
+        obs = ObservationMatrix(rng.normal(size=(3, 10)))
+        locality = knn_graph_laplacian(obs, 3)
+        cfg = SolverConfig(beta=2.0, mu0=mu0, max_iter=30)
+        report = solve(obs, locality, cfg)
+        assert report.iterations == cfg.max_iter
+        z, e, m1, m2, residuals, changes = unscaled_admm(obs, locality, cfg)
+        for got, want in ((report.Z, z), (report.E, e), (report.M1, m1), (report.M2, m2)):
+            assert np.abs(want).max() > 1e-3
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+        np.testing.assert_allclose(report.residual_history, residuals, rtol=1e-9)
+        np.testing.assert_allclose(report.change_history, changes, rtol=1e-9)
 
     def test_all_zero_data_raises(self):
         with pytest.raises(InvalidInputError):
