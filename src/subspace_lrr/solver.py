@@ -20,9 +20,11 @@ to its U, and no iteration multiplies or divides an n x n array by mu.
 Two-block ADMM converges for any fixed mu (Boyd et al., Distributed
 Optimization and Statistical Learning via ADMM, 2011, section 3.2). The
 stop test is that paper's relative primal and dual residuals (section
-3.3.1). While W has low rank, `svt` thresholds it through a warm-started
-randomized range finder, checked by a residual bound (or, when that fails,
-a power estimate), and both paths threshold through one thin-SVT kernel.
+3.3.1). While W has low rank, `svt` thresholds it through a randomized
+range finder, checked by a residual bound (or, when that fails, a power
+estimate), and both paths threshold through one thin-SVD kernel. Each
+W-step carries its whole range to the next and sizes the next range to the
+spectrum it must certify.
 """
 
 import math
@@ -37,7 +39,7 @@ from .hypergraph import ObservationMatrix
 EPS1 = 1e-6     # relative primal residual tolerance
 EPS2 = 1e-4     # relative dual residual tolerance
 MU_MAX = 1e10   # largest accepted penalty mu0
-SVT_WIDTH = 16  # columns of the low-rank SVT's range finder
+SVT_OVERSAMPLE = 6  # range finder columns beyond the values the last W-step kept
 SVT_CERT_STEPS = 5  # power iterations that estimate the range finder's residual
 
 
@@ -95,14 +97,19 @@ class SolverState:
 class SvtWarmStart:
     """What the low-rank path of `svt` carries from one call to the next.
 
-    `basis` holds the right singular vectors the last call kept, on either
-    path. It is None only after a call that kept SVT_WIDTH or more values,
-    and then the next call takes the exact path at once. `fallbacks` counts
-    the low-rank attempts that failed their certificate.
+    `basis` holds the right singular vectors of the last call's range, in
+    descending order of their values: on the low-rank path those of
+    b = Q^T a, on the exact path the leading ones of a. Vectors whose values
+    sit at the rounding level of the Gram matrix they came from are left out,
+    so a zero or rank-deficient input carries fewer columns. `width` is the
+    next range finder's column count, set from the last spectrum; while
+    2 width >= min(a.shape), `svt` takes the exact path at once. `fallbacks`
+    counts the low-rank attempts that failed their certificate.
     """
 
     rng: np.random.Generator
-    basis: np.ndarray | None
+    basis: np.ndarray
+    width: int = 2 * SVT_OVERSAMPLE
     fallbacks: int = 0
 
 
@@ -128,70 +135,89 @@ def svt(a, tau, warm=None):
     """Singular value thresholding: soft-threshold the spectrum of a.
 
     The exact path works from an eigendecomposition of the Gram matrix on
-    the shorter side (`_thin_svt`), so the work is matrix products.
+    the shorter side (`_thin_svd`), so the work is matrix products.
 
-    Given an SvtWarmStart whose basis is set, `svt` first tries a
-    randomized range finder of width SVT_WIDTH (Halko, Martinsson & Tropp,
-    arXiv:0909.4061), started from that basis and the warm start's random
-    stream, with one power step. Its result is used only when the residual
-    ||a - Q Q^T a||_2 is at most tau / 2. That is first checked by a residual
-    bound: ||a||_F^2 - ||Q^T a||_F^2, which is ||a - Q Q^T a||_F^2 and so
-    bounds the spectral norm's square from above. Only when the bound fails
-    do SVT_CERT_STEPS power iterations estimate the spectral norm, from
-    below, so an acceptance there rests on an estimate. When the estimate
-    fails too, the failure is counted and the exact path runs. Either way
-    the warm start keeps the right singular vectors of the values kept, or
-    None when there are SVT_WIDTH or more of them.
+    Given an SvtWarmStart whose width w satisfies 2 w < min(a.shape), `svt`
+    first tries a randomized range finder of w columns (Halko, Martinsson &
+    Tropp, arXiv:0909.4061): the basis the warm start carries, padded with a
+    Gaussian block from its random stream, then one power step. Its result
+    is used only when the residual ||a - Q Q^T a||_2 is at most tau / 2.
+    That is first checked by a residual bound: ||a||_F^2 - ||Q^T a||_F^2,
+    which is ||a - Q Q^T a||_F^2 and so bounds the spectral norm's square
+    from above. Only when the bound fails do SVT_CERT_STEPS power iterations
+    estimate the spectral norm, from below, so an acceptance there rests on
+    an estimate. When the estimate fails too, the failure is counted and the
+    exact path runs. Either way the warm start then carries this call's
+    right basis, and the next width follows this call's spectrum, as inexact
+    ALM's predicted rank does (Lin, Chen & Ma, arXiv:1009.5055): SVT_OVERSAMPLE
+    more than the values kept, at least every value above tau / 2, which the
+    certificate needs inside the range, and never below 2 SVT_OVERSAMPLE.
     """
     if not tau >= 0:
         raise InvalidParameterError("SVT threshold must be nonnegative")
-    out = None
-    if warm is not None and warm.basis is not None and min(a.shape) > SVT_WIDTH:
-        out, kept = _svt_low_rank(a, tau, warm.basis, warm.rng)
-        warm.fallbacks += out is None
-    if out is None:
-        u, shrunk, kept = _thin_svt(a, tau)
-        out = (u * shrunk) @ kept.T
+    found = None
+    if warm is not None and 2 * warm.width < min(a.shape):
+        found = _svt_low_rank(a, tau, warm)
+        warm.fallbacks += found is None
+    u, s, v = _thin_svd(a, tau) if found is None else found
+    kept = u.shape[1]
     if warm is not None:
-        warm.basis = kept if kept.shape[1] < SVT_WIDTH else None
-    return out
+        warm.width = max(
+            kept + SVT_OVERSAMPLE, np.count_nonzero(s > tau / 2), 2 * SVT_OVERSAMPLE
+        )
+        warm.basis = v[:, :min(warm.width, _resolved(s, a.shape))]
+    return (u * (s[:kept] - tau)) @ v[:, :kept].T
 
 
-def _thin_svt(a, tau):
-    """The singular triplets of a with values above tau, as (u, s - tau, v).
+def _resolved(s, shape):
+    """How many of the singular values s of a matrix of that shape lie above
+    the rounding of its Gram matrix, whose worst case max(shape) eps ||a||_F^2
+    bounds the squares; the singular vectors of values below it are noise."""
+    return np.count_nonzero(s**2 > max(shape) * np.finfo(float).eps * np.sum(s**2))
 
-    They come from `eigh` of the Gram matrix on the shorter side. Singular
-    vectors are formed only for values above tau, which keeps the
-    sqrt-precision loss of small singular values out of the result.
+
+def _thin_svd(a, tau):
+    """(u, s, v): all singular values s of a, descending, from `eigh` of the
+    Gram matrix on the shorter side, with the left singular vectors u of the
+    values above tau and leading right singular vectors v, at least those of
+    the values above tau and of the values `_resolved` counts.
+
+    Singular vectors on the side the Gram matrix does not give are formed
+    only for those values, which keeps the sqrt-precision loss of small
+    singular values out of the result.
     """
     wide = a.shape[1] > a.shape[0]
     if wide:
         a = a.T
     try:
-        lam, v = np.linalg.eigh(a.T @ a)
+        lam, x = np.linalg.eigh(a.T @ a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigensolver failed during singular value thresholding") from exc
-    s = np.sqrt(np.maximum(lam, 0.0))
-    keep = s > tau
-    v, s = v[:, keep], s[keep]
-    u = a @ (v / s)
-    return (v, s - tau, u) if wide else (u, s - tau, v)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    x = x[:, ::-1]
+    kept = np.count_nonzero(s > tau)
+    if not wide:
+        return a @ (x[:, :kept] / s[:kept]), s, x
+    rank = max(kept, _resolved(s, a.shape))
+    return x[:, :kept], s, a @ (x[:, :rank] / s[:rank])
 
 
-def _svt_low_rank(a, tau, start, rng):
-    """svt(a, tau) from a rank-SVT_WIDTH range of a, with the right singular
-    vectors kept; (None, None) when both the residual bound and the power
-    estimate exceed tau / 2."""
+def _svt_low_rank(a, tau, warm):
+    """(Q u, s, v), where Q is a range of a with warm.width columns and
+    (u, s, v) is `_thin_svd` of b = Q^T a; None when both the residual bound
+    and the power estimate exceed tau / 2."""
     m, n = a.shape
-    omega = np.hstack([start, rng.standard_normal((n, SVT_WIDTH - start.shape[1]))])
-    q = _orthonormal_basis(a @ omega)
+    start = warm.basis[:, :warm.width]
+    if start.shape[1] < warm.width:
+        start = np.hstack([start, warm.rng.standard_normal((n, warm.width - start.shape[1]))])
+    q = _orthonormal_basis(a @ start)
     q = _orthonormal_basis(a @ (a.T @ q))
     b = q.T @ a
-    x = rng.standard_normal(n)  # drawn even when unused, so the stream is the same
     # ||a - q b||_F^2, as q has orthonormal columns, with m eps ||a||_F^2 for
     # the rounding of the two sums and of b
     a_sq = np.vdot(a, a)
     if a_sq - np.vdot(b, b) + m * np.finfo(float).eps * a_sq > (tau / 2) ** 2:
+        x = warm.rng.standard_normal(n)
         for _ in range(SVT_CERT_STEPS):
             rx = a @ x - q @ (b @ x)
             x = a.T @ rx - b.T @ (q.T @ rx)
@@ -200,10 +226,10 @@ def _svt_low_rank(a, tau, start, rng):
                 break  # a zero residual is certified
             x /= norm
         if np.linalg.norm(a @ x - q @ (b @ x)) > tau / 2:
-            return None, None
-    # svt(q b) = (q u) diag(s - tau) v^T, from the thin SVT of the small b
-    u, shrunk, v = _thin_svt(b, tau)
-    return ((q @ u) * shrunk) @ v.T, v
+            return None
+    # svt(q b) = (q u) diag(s - tau) v^T, from the thin SVD of the small b
+    u, s, v = _thin_svd(b, tau)
+    return q @ u, s, v
 
 
 def _orthonormal_basis(x):

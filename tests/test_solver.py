@@ -20,6 +20,7 @@ from subspace_lrr import (
     svt,
 )
 from subspace_lrr import solver
+from subspace_lrr.datasets import two_moons
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 from subspace_lrr.solver import (
     SolverConfig,
@@ -101,6 +102,22 @@ def assert_svt_beats_perturbations(a, tau, rng, warm=None):
         assert objective(probe) >= base - 1e-9
 
 
+def expected_width(s, tau):
+    """The width `svt` sets from the spectrum s: SVT_OVERSAMPLE beyond the
+    values kept, every value above tau / 2, and at least 2 SVT_OVERSAMPLE."""
+    p = solver.SVT_OVERSAMPLE
+    return max(np.count_nonzero(s > tau) + p, np.count_nonzero(s > tau / 2), 2 * p)
+
+
+def assert_carries_leading_right_vectors(basis, a, rank):
+    """`basis` has `rank` orthonormal columns that span the leading `rank`
+    right singular vectors of a."""
+    vt = np.linalg.svd(a)[2][:rank]
+    assert basis.shape == (a.shape[1], rank)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(vt.T @ (vt @ basis), basis, rtol=0, atol=1e-8)
+
+
 class TestProximalOperators:
     def test_shrink_values(self):
         assert shrink(3.0, 1.0) == 2.0
@@ -140,16 +157,19 @@ class TestProximalOperators:
         a = rng.normal(size=(6, 4))
         tau = float(np.median(np.linalg.svd(a, compute_uv=False)))
         assert_svt_beats_perturbations(a, tau, rng)
-        # the low-rank path, on a rank-3 input above SVT_WIDTH on both sides
-        a = rng.normal(size=(24, 3)) @ rng.normal(size=(3, 20))
+        # the low-rank path, on a rank-3 input wider than twice the first width
+        a = rng.normal(size=(24, 3)) @ rng.normal(size=(3, 25))
         tau = float(np.median(np.linalg.svd(a, compute_uv=False)[:3]))
-        warm = SvtWarmStart(np.random.default_rng(0), np.empty((20, 0)))
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((25, 0)))
         assert_svt_beats_perturbations(a, tau, rng, warm)
-        assert warm.fallbacks == 0 and warm.basis.shape == (20, 1)
+        # one value kept; the range carries the input's 3 right vectors
+        assert warm.fallbacks == 0 and warm.width == 2 * solver.SVT_OVERSAMPLE
+        assert_carries_leading_right_vectors(warm.basis, a, 3)
 
     @pytest.mark.parametrize("m, n, rank", [(40, 40, 5), (60, 45, 15), (45, 60, 1), (200, 200, 4)])
     def test_svt_low_rank_path_matches_exact(self, m, n, rank):
-        # each call starts from the basis the previous one kept
+        # each call starts from the range the previous one carried; rank 15
+        # exceeds the first width, so that call alone falls back
         rng = np.random.default_rng(m + n + rank)
         a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
         s = np.linalg.svd(a, compute_uv=False)
@@ -157,20 +177,23 @@ class TestProximalOperators:
         for tau in s[0] * np.array([1e-3, 0.3, 0.99, 1.5]):
             out = svt(a, tau, warm)
             np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
-            assert warm.fallbacks == 0
-            assert warm.basis.shape == (n, np.count_nonzero(s > tau))
+            assert warm.fallbacks == (rank > 2 * solver.SVT_OVERSAMPLE)
+            assert warm.width == expected_width(s, tau)
+            assert_carries_leading_right_vectors(warm.basis, a, min(rank, warm.width))
 
     def test_svt_falls_back_above_width(self):
-        # rank 30 > SVT_WIDTH with a small threshold: the certificate fails
+        # rank 30 above the first width with a small threshold: the
+        # certificate fails, and the width grows to hold all 30 values
         rng = np.random.default_rng(24)
         a = rng.normal(size=(40, 30)) @ rng.normal(size=(30, 40))
         warm = SvtWarmStart(np.random.default_rng(0), np.empty((40, 0)))
         out = svt(a, 1e-3, warm)
         np.testing.assert_array_equal(out, svt(a, 1e-3))
-        assert warm.fallbacks == 1 and warm.basis is None
-        # the next call skips the attempt, and 30 kept values keep skipping it
+        assert warm.fallbacks == 1 and warm.width == 30 + solver.SVT_OVERSAMPLE
+        assert_carries_leading_right_vectors(warm.basis, a, 30)
+        # twice that width is not below 40, so the next call skips the attempt
         np.testing.assert_array_equal(svt(a, 1e-3, warm), out)
-        assert warm.fallbacks == 1 and warm.basis is None
+        assert warm.fallbacks == 1 and warm.width == 30 + solver.SVT_OVERSAMPLE
         # in a solve, the first W-step is 0 and certified; the second falls back
         y = rng.normal(size=(50, 40))
         report = solve(y, None, SolverConfig(mu0=1.0, max_iter=5))
@@ -178,14 +201,16 @@ class TestProximalOperators:
 
     def test_svt_retries_the_low_rank_path_after_a_fallback(self, monkeypatch):
         # rank 3 plus a flat tail of 97 values at 0.8 tau: the tail's spectral
-        # norm exceeds tau / 2, so every attempt fails its certificate, but the
-        # exact path keeps 3 < SVT_WIDTH values and so sets the basis again
+        # norm exceeds tau / 2, so the attempt fails its certificate and the
+        # width grows to all 100 values, which skips the low-rank path; once
+        # the tail falls to 0.1 tau, the exact path narrows the width again
         rng = np.random.default_rng(26)
         tau = 0.5
         u = np.linalg.qr(rng.normal(size=(100, 100)))[0]
         v = np.linalg.qr(rng.normal(size=(100, 100)))[0]
-        s = np.concatenate([[1000.0, 500.0, 200.0], np.full(97, 0.8)]) * tau
-        a = (u * s) @ v.T
+        head = np.array([1000.0, 500.0, 200.0]) * tau
+        a = (u * np.concatenate([head, np.full(97, 0.8 * tau)])) @ v.T
+        quiet = (u * np.concatenate([head, np.full(97, 0.1 * tau)])) @ v.T
         attempts = []
         real_low_rank = solver._svt_low_rank
 
@@ -194,32 +219,88 @@ class TestProximalOperators:
             return real_low_rank(*args)
 
         monkeypatch.setattr(solver, "_svt_low_rank", counted_low_rank)
-        # a warm start without a basis takes the exact path and keeps its vectors
-        exact = SvtWarmStart(np.random.default_rng(0), None)
-        np.testing.assert_array_equal(svt(a, tau, exact), svt(a, tau))
-        assert not attempts and exact.basis.shape == (100, 3)
         warm = SvtWarmStart(np.random.default_rng(0), np.empty((100, 0)))
-        for calls in (1, 2):
-            np.testing.assert_array_equal(svt(a, tau, warm), svt(a, tau))
-            assert len(attempts) == calls and warm.fallbacks == calls
-            np.testing.assert_array_equal(warm.basis, exact.basis)
+        np.testing.assert_array_equal(svt(a, tau, warm), svt(a, tau))
+        assert len(attempts) == 1 and warm.fallbacks == 1 and warm.width == 100
+        for b in (a, quiet):
+            np.testing.assert_array_equal(svt(b, tau, warm), svt(b, tau))
+            assert len(attempts) == 1 and warm.fallbacks == 1
+        # the exact path carries the leading right singular vectors
+        assert warm.width == 2 * solver.SVT_OVERSAMPLE
+        assert warm.basis.shape == (100, 2 * solver.SVT_OVERSAMPLE)
+        assert_carries_leading_right_vectors(warm.basis[:, :3], quiet, 3)
+        for calls in (2, 3):
+            out = svt(quiet, tau, warm)
+            np.testing.assert_allclose(out, svt(quiet, tau), rtol=0, atol=1e-10 * head[0])
+            assert len(attempts) == calls and warm.fallbacks == 1
 
     def test_svt_accepts_on_the_power_estimate_when_the_bound_fails(self):
-        # rank 3 plus a flat tail of 97 values at 0.1 tau: no rank-SVT_WIDTH
-        # range brings the tail's Frobenius norm to tau / 2 (Eckart-Young),
-        # but its spectral norm is below it, so the power estimate accepts
+        # rank 3 plus a flat tail of 97 values at 0.1 tau: no range of the
+        # first width brings the tail's Frobenius norm to tau / 2
+        # (Eckart-Young), but its spectral norm is below it, so the power
+        # estimate accepts
         rng = np.random.default_rng(25)
         tau = 0.5
         u = np.linalg.qr(rng.normal(size=(100, 100)))[0]
         v = np.linalg.qr(rng.normal(size=(100, 100)))[0]
         s = np.concatenate([[1000.0, 500.0, 200.0], np.full(97, 0.1)]) * tau
         a = (u * s) @ v.T
-        assert np.linalg.norm(s[solver.SVT_WIDTH:]) > tau / 2 > s[3]
+        width = 2 * solver.SVT_OVERSAMPLE
+        assert np.linalg.norm(s[width:]) > tau / 2 > s[3]
         warm = SvtWarmStart(np.random.default_rng(0), np.empty((100, 0)))
         for _ in range(3):
             out = svt(a, tau, warm)
             np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
-            assert warm.fallbacks == 0 and warm.basis.shape == (100, 3)
+            assert warm.fallbacks == 0 and warm.width == width
+            assert_carries_leading_right_vectors(warm.basis[:, :3], a, 3)
+            assert warm.basis.shape == (100, width)
+
+    def test_svt_carries_no_direction_of_a_zero_or_deficient_range(self, monkeypatch):
+        # a solve's first W-step thresholds Z + U3 = 0; its range has no
+        # direction to carry, so the next call starts from a random block
+        rng = np.random.default_rng(27)
+        n = 60
+        a = rng.normal(size=(n, 3)) @ rng.normal(size=(3, n))
+        s = np.linalg.svd(a, compute_uv=False)
+        blocks = []
+        real_basis = solver._orthonormal_basis
+
+        def checked_basis(x):
+            blocks.append(x)
+            return real_basis(x)
+
+        monkeypatch.setattr(solver, "_orthonormal_basis", checked_basis)
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((n, 0)))
+        np.testing.assert_array_equal(svt(np.zeros((n, n)), 1.0, warm), 0.0)
+        assert warm.fallbacks == 0 and warm.basis.shape == (n, 0)
+        for tau in s[0] * np.array([0.3, 1e-3, 0.5]):
+            out = svt(a, tau, warm)
+            np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
+            # the rank-3 range carries its 3 right vectors and no more
+            assert warm.fallbacks == 0
+            assert_carries_leading_right_vectors(warm.basis, a, 3)
+        assert len(blocks) == 8 and all(np.isfinite(x).all() for x in blocks)
+
+    def test_svt_certifies_past_the_first_width_after_one_exact_step(self):
+        # 5 values kept and 15 more between tau / 2 and tau: 20 values above
+        # tau / 2, more than the first width holds; the exact step that
+        # follows the first attempt widens the range to hold them all
+        rng = np.random.default_rng(28)
+        n, tau = 200, 1.0
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        s = np.concatenate([
+            [400.0, 200.0, 100.0, 50.0, 10.0], np.linspace(0.95, 0.55, 15),
+            rng.uniform(0.0, 0.02, n - 20),
+        ]) * tau
+        assert np.count_nonzero(s > tau / 2) == 20 > 2 * solver.SVT_OVERSAMPLE
+        a = (u * s) @ v.T
+        warm = SvtWarmStart(np.random.default_rng(0), np.empty((n, 0)))
+        for _ in range(4):
+            out = svt(a, tau, warm)
+            np.testing.assert_allclose(out, svt(a, tau), rtol=0, atol=1e-10 * s[0])
+            assert warm.fallbacks == 1 and warm.width == 20
+            assert_carries_leading_right_vectors(warm.basis, a, 20)
 
     # tall, wide and square, on both sides of 64; full rank and rank-deficient
     @pytest.mark.parametrize("m, n, rank", [
@@ -238,22 +319,26 @@ class TestProximalOperators:
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9 * norm)
             np.testing.assert_allclose(svt(a.T, tau), out.T, rtol=0, atol=1e-9 * norm)
 
-    # the range finder's widths at n = 200 and at the smallest low-rank n;
+    # the range finder's smallest width and the width that `rank` kept values
+    # ask for, at n = 200, at a small n and at the subspaces workload's n;
     # full rank, rank-deficient, and with a zero column
     @pytest.mark.parametrize("m, rank, zero_column", [
         (200, 16, False), (17, 16, False), (200, 5, False), (17, 3, False), (200, 7, True),
+        (320, 93, False),
     ])
     def test_range_finder_basis_is_orthonormal_and_spans_the_input(self, m, rank, zero_column):
         rng = np.random.default_rng(m + rank)
-        x = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, solver.SVT_WIDTH))
-        if zero_column:
-            x[:, 3] = 0.0
-        given = x.copy()
-        q = solver._orthonormal_basis(x)
-        np.testing.assert_array_equal(x, given)
-        assert q.shape == x.shape
-        np.testing.assert_allclose(q.T @ q, np.eye(solver.SVT_WIDTH), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(q @ (q.T @ x), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
+        p = solver.SVT_OVERSAMPLE
+        for width in (2 * p, min(m, rank + p)):
+            x = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, width))
+            if zero_column:
+                x[:, 3] = 0.0
+            given = x.copy()
+            q = solver._orthonormal_basis(x)
+            np.testing.assert_array_equal(x, given)
+            assert q.shape == x.shape
+            np.testing.assert_allclose(q.T @ q, np.eye(width), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(q @ (q.T @ x), x, rtol=0, atol=1e-13 * np.linalg.norm(x))
 
     def test_svt_negative_threshold_raises(self):
         with pytest.raises(InvalidParameterError):
@@ -568,6 +653,35 @@ def assert_same_solve(a, b):
 
 
 class TestSolveLoop:
+    def test_accepted_low_rank_w_steps_match_the_exact_svt(self, monkeypatch):
+        # plain LRR on the benchmark's two moons at n = 200, where every
+        # W-step after the first takes the low-rank path; without its power
+        # step the worst accepted W is off by about 1e-3 of max|W|, with it
+        # by about 3e-7
+        obs = two_moons(n_per_moon=100, noise_sigma=0.04, seed=0).observations
+        errors = []
+        accepted = []
+        real_svt, real_low_rank = solver.svt, solver._svt_low_rank
+
+        def spied_low_rank(a, tau, warm):
+            found = real_low_rank(a, tau, warm)
+            accepted.append(found is not None)
+            return found
+
+        def checked_svt(a, tau, warm=None):
+            del accepted[:]
+            out = real_svt(a, tau, warm)
+            if accepted == [True]:
+                exact = real_svt(a, tau)
+                errors.append(np.abs(out - exact).max() / max(np.abs(exact).max(), 1e-300))
+            return out
+
+        monkeypatch.setattr(solver, "_svt_low_rank", spied_low_rank)
+        monkeypatch.setattr(solver, "svt", checked_svt)
+        report = solve(obs, None, SolverConfig(mu0=1.0, max_iter=60))
+        assert report.svt_fallbacks == 0 and len(errors) == report.iterations
+        assert max(errors) < 1e-5
+
     def test_duplicated_columns_converge(self, monkeypatch):
         # both stop tests are relative, so the solve stops soon after the
         # constraint is met
@@ -659,14 +773,15 @@ class TestSolveLoop:
         for (a, tau, w), (z, u3) in zip(svt_calls, iterates):
             assert tau == 1.0 / cfg.mu0
             np.testing.assert_array_equal(a, z + u3)
-            # n = 10 is below SVT_WIDTH, so the solve takes the exact path
+            # n = 10 is at most twice the first width, so the solve takes the
+            # exact path
             np.testing.assert_array_equal(w, svt(a, tau))
         np.testing.assert_array_equal(report.Z, iterates[-1][0])
 
     @pytest.mark.parametrize("mu0", [0.25, 4.0])
     def test_scaled_form_matches_the_unscaled_loop(self, mu0):
-        # away from mu = 1, where U = M / mu differs from M; n = 10 is below
-        # SVT_WIDTH, so every W-step takes the exact path
+        # away from mu = 1, where U = M / mu differs from M; n = 10 is at most
+        # twice the first width, so every W-step takes the exact path
         rng = np.random.default_rng(22)
         obs = ObservationMatrix(rng.normal(size=(3, 10)))
         locality = knn_graph_laplacian(obs, 3)
