@@ -10,7 +10,7 @@ from .hypergraph import (
     knn_hypergraph_laplacian,
     locality_operator_from_hypergraph,
 )
-from .solver import SolveReport, SolverConfig, SolverState, shrink, solve, svt
+from .solver import SolveReport, SolverConfig, shrink, solve, svt
 from .clustering import affinity_from_coefficients, kmeans, ncut_spectral
 from .metrics import accuracy, confusion_matrix, hungarian
 from .datasets import (
@@ -29,7 +29,6 @@ __all__ = [
     "ObservationMatrix",
     "SolveReport",
     "SolverConfig",
-    "SolverState",
     "accuracy",
     "affinity_from_coefficients",
     "confusion_matrix",

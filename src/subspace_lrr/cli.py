@@ -18,7 +18,17 @@ from . import clustering, datasets, hypergraph, metrics
 from .errors import InvalidInputError, InvalidParameterError, NumericalError, ParseError
 from .solver import SolverConfig, solve
 
-METHODS = ("kmeans", "ncut", "lrr", "graph-lrr", "lrlrr", "tlr-lrr")
+# The locality operator of each solver method (None for plain lrr), built
+# through the hypergraph module's attributes at call time.
+LOCALITY = {
+    "lrr": lambda obs, params: None,
+    "graph-lrr": lambda obs, params: hypergraph.knn_graph_laplacian(obs, params["knn_k"]),
+    "lrlrr": lambda obs, params: hypergraph.knn_hypergraph_laplacian(obs, params["knn_k"]),
+    "tlr-lrr": lambda obs, params: hypergraph.locality_operator_from_hypergraph(
+        hypergraph.epsilon_ball_hyperedges(obs, params["eps"], mode=params["eps_mode"])
+    ),
+}
+METHODS = ("kmeans", "ncut", *LOCALITY)
 GENERATORS = {"two-moons": datasets.two_moons, "three-circles": datasets.three_circles}
 
 # Method-side defaults; config file then CLI flags override these.
@@ -71,22 +81,6 @@ def _gaussian_affinity(obs):
     return w
 
 
-def build_locality(method, obs, params):
-    """Locality operator for a solver method (None for plain lrr)."""
-    if method == "lrr":
-        return None
-    if method == "graph-lrr":
-        return hypergraph.knn_graph_laplacian(obs, params["knn_k"])
-    if method == "lrlrr":
-        return hypergraph.knn_hypergraph_laplacian(obs, params["knn_k"])
-    if method == "tlr-lrr":
-        graph = hypergraph.epsilon_ball_hyperedges(
-            obs, params["eps"], mode=params["eps_mode"]
-        )
-        return hypergraph.locality_operator_from_hypergraph(graph)
-    raise InvalidParameterError(f"unknown solver method: {method!r}")
-
-
 def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
     """End-to-end run of one method on one dataset; returns a report dict."""
     if method not in METHODS:
@@ -115,8 +109,11 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
     elif method == "ncut":
         labels = clustering.ncut_spectral(_gaussian_affinity(obs), k, seed=seed)
     else:
-        locality = build_locality(method, obs, params)
-        result = solve(obs, locality, cfg)
+        result = solve(obs, LOCALITY[method](obs, params), cfg)
+        y = obs.data
+        if np.linalg.norm(y @ result.Z) <= obs.n * np.finfo(float).eps * np.linalg.norm(y):
+            raise InvalidInputError("the solve's Z reproduces none of the data: "
+                                    "||YZ|| <= n eps ||Y||")
         affinity = clustering.affinity_from_coefficients(result.Z)
         labels = clustering.ncut_spectral(affinity, k, seed=seed)
         coefficients = result.Z

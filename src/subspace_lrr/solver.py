@@ -70,9 +70,9 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
+    """What crosses an iteration; `solve` forms W and J inside one."""
+
     Z: np.ndarray
-    W: np.ndarray
-    J: np.ndarray
     E: np.ndarray
     U1: np.ndarray  # scaled multiplier M1 / mu of Y = YZ + E
     U2: np.ndarray  # M2 / mu, of Z = J
@@ -83,8 +83,6 @@ class SolverState:
     def initial(cls, m, n, mu0):
         return cls(
             Z=np.zeros((n, n)),
-            W=np.zeros((n, n)),
-            J=np.zeros((n, n)),
             E=np.zeros((m, n)),
             U1=np.zeros((m, n)),
             U2=np.zeros((n, n)),
@@ -242,14 +240,14 @@ def _orthonormal_basis(x):
     return q
 
 
-def grad_q(state, locality, observations, cfg, primal):
+def grad_q(state, w, j, locality, observations, cfg, primal):
     """Gradient of the Z-step's objective at state.Z: the augmented
-    Lagrangian in Z at fixed W, J, E and multipliers.
+    Lagrangian in Z at fixed W = w, J = j, E and multipliers.
 
     `primal` is the residual Y - YZ - E at state.Z and state.E. The Z-step
     zeroes this gradient; `solve` forms its solution directly.
     """
-    out = 2.0 * state.Z - state.J - state.W + state.U2 + state.U3
+    out = 2.0 * state.Z - j - w + state.U2 + state.U3
     out -= observations.data.T @ (primal + state.U1)
     out *= state.mu
     if locality is not None:
@@ -342,12 +340,12 @@ def solve(observations, locality=None, cfg=None):
     tiny = np.finfo(float).tiny
 
     for iterations in range(1, cfg.max_iter + 1):
-        state.W = svt(state.Z + state.U3, 1.0 / mu, warm)
-        state.J = update_J(state, cfg)
+        w = svt(state.Z + state.U3, 1.0 / mu, warm)
+        j = update_J(state, cfg)
         state.E = update_E(state, fit, cfg)
 
         r = y.T @ (y - state.E + state.U1)
-        r += state.J + state.W
+        r += j + w
         r -= state.U2
         r -= state.U3
         if q is None:
@@ -358,11 +356,11 @@ def solve(observations, locality=None, cfg=None):
         dz_norm = _norm(z - state.Z)
         state.Z, fit_prev, fit = z, fit, y - yz
 
-        primal = (fit - state.E, z - state.J, z - state.W)
+        primal = (fit - state.E, z - j, z - w)
         update_multipliers(state, primal)
         z_norm = _norm(z)
         residual = _norm(*primal) / max(
-            _norm(state.E, state.J, state.W), math.hypot(_norm(yz), z_norm, z_norm), y_fro
+            _norm(state.E, j, w), math.hypot(_norm(yz), z_norm, z_norm), y_fro
         )
         # the dual residual mu ||(Y dZ, dZ, dZ)|| relative to ||M||, where M = mu U
         change = mu * math.hypot(_norm(fit_prev - fit), dz_norm, dz_norm) / max(

@@ -190,13 +190,11 @@ def test_criterion_4_solver_invariant_suite(monkeypatch):
             epsilon_ball_hyperedges(obs, 0.6, mode="quantile")
         )
         cfg = SolverConfig(beta=float(rng.uniform(0, 3)))
-        state = SolverState(
-            Z=rng.normal(size=(n, n)), J=rng.normal(size=(n, n)),
-            E=rng.normal(size=(m, n)), U1=rng.normal(size=(m, n)),
-            U2=rng.normal(size=(n, n)), mu=float(rng.uniform(0.5, 2.0)),
-            W=rng.normal(size=(n, n)), U3=rng.normal(size=(n, n)),
-        )
-        assert_gradient_matches_finite_differences(state, locality, obs, cfg)
+        z, j = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        e, u1, u2 = rng.normal(size=(m, n)), rng.normal(size=(m, n)), rng.normal(size=(n, n))
+        mu, w = float(rng.uniform(0.5, 2.0)), rng.normal(size=(n, n))
+        state = SolverState(Z=z, E=e, U1=u1, U2=u2, U3=rng.normal(size=(n, n)), mu=mu)
+        assert_gradient_matches_finite_differences(state, w, j, locality, obs, cfg)
 
     # proximal oracles for the two thresholding primitives
     a = rng.normal(size=(6, 4))

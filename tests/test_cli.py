@@ -114,7 +114,7 @@ class TestCluster:
 
     def test_all_zero_coefficients_exit_2_without_report(self, tmp_path, moons_file,
                                                           monkeypatch):
-        # a solve that returns Z = 0 leaves NCut nothing to cut
+        # a solve that returns Z = 0 reproduces none of the data
         real_solve = cli.solve
 
         def zero_solve(*args):
@@ -127,6 +127,22 @@ class TestCluster:
                     "--max-iter", 1, "--report", report_path])
         assert code == 2
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-10])
+    def test_z_that_reproduces_no_data_exits_2_without_report(self, tmp_path, capsys, scale):
+        # at the default mu0 the solve barely moves from Z = 0 on data this
+        # small: max|Z| is about 2e-320 at 1e-160 and ||YZ|| / ||Y|| about
+        # 2e-19 at 1e-10, yet NCut of |Z| still gives labels
+        moons = two_moons(n_per_moon=20, seed=1)
+        data = tmp_path / "tiny.csv"
+        save_dataset(replace(moons, observations=ObservationMatrix(
+            moons.observations.data * scale)), data)
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", "lrr", "--k", 2,
+                    "--max-iter", 50, "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert "reproduces none of the data" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, module, kernel", [
         ("ncut", scipy.linalg, "eigh"),      # NCut's dense fallback eigensolve

@@ -35,16 +35,37 @@ from subspace_lrr.solver import (
 
 
 def random_state(rng, m, n, mu):
-    return SolverState(
-        Z=rng.normal(size=(n, n)),
-        W=rng.normal(size=(n, n)),
-        J=rng.normal(size=(n, n)),
+    """(state, W, J): a random state and the W and J of one iteration."""
+    z, w, j = (rng.normal(size=(n, n)) for _ in range(3))
+    state = SolverState(
+        Z=z,
         E=rng.normal(size=(m, n)),
         U1=rng.normal(size=(m, n)),
         U2=rng.normal(size=(n, n)),
         U3=rng.normal(size=(n, n)),
         mu=mu,
     )
+    return state, w, j
+
+
+def spy_w_and_j(patch):
+    """Spy on `solve`'s W-step and J-step: the returned dict holds, under
+    "W" and "J", what `svt` and `update_J` last returned, which at the dual
+    step are that iteration's W and J."""
+    latest = {}
+    real_svt, real_update_J = solver.svt, solver.update_J
+
+    def spied_svt(*args):
+        latest["W"] = real_svt(*args)
+        return latest["W"]
+
+    def spied_update_J(*args):
+        latest["J"] = real_update_J(*args)
+        return latest["J"]
+
+    patch.setattr(solver, "svt", spied_svt)
+    patch.setattr(solver, "update_J", spied_update_J)
+    return latest
 
 
 def primal_residual(state, observations):
@@ -52,31 +73,32 @@ def primal_residual(state, observations):
     return y - y @ state.Z - state.E
 
 
-def smooth_objective(z, state, locality, observations, cfg):
-    """The Z-step's objective q(Z), the augmented Lagrangian in Z up to a
-    constant, evaluated directly."""
+def smooth_objective(z, state, w, j, locality, observations, cfg):
+    """The Z-step's objective q(Z) at W = w and J = j, the augmented
+    Lagrangian in Z up to a constant, evaluated directly."""
     y = observations.data
     r1 = y - y @ z - state.E + state.U1
-    r2 = z - state.J + state.U2
-    r3 = z - state.W + state.U3
+    r2 = z - j + state.U2
+    r3 = z - w + state.U3
     val = cfg.beta * float(np.trace(z @ locality.matrix @ z.T))
     for r in (r1, r2, r3):
         val += 0.5 * state.mu * float(np.sum(r * r))
     return val
 
 
-def assert_gradient_matches_finite_differences(state, locality, observations, cfg):
+def assert_gradient_matches_finite_differences(state, w, j, locality, observations, cfg):
     """grad_q at state.Z against central differences of smooth_objective."""
     step = 1e-5
-    grad = grad_q(state, locality, observations, cfg, primal_residual(state, observations))
+    grad = grad_q(state, w, j, locality, observations, cfg,
+                  primal_residual(state, observations))
     fd = np.zeros_like(grad)
-    for i, j in np.ndindex(grad.shape):
+    for idx in np.ndindex(grad.shape):
         zp, zm = state.Z.copy(), state.Z.copy()
-        zp[i, j] += step
-        zm[i, j] -= step
-        fd[i, j] = (
-            smooth_objective(zp, state, locality, observations, cfg)
-            - smooth_objective(zm, state, locality, observations, cfg)
+        zp[idx] += step
+        zm[idx] -= step
+        fd[idx] = (
+            smooth_objective(zp, state, w, j, locality, observations, cfg)
+            - smooth_objective(zm, state, w, j, locality, observations, cfg)
         ) / (2 * step)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
 
@@ -358,8 +380,8 @@ class TestGradient:
             graph = epsilon_ball_hyperedges(obs, 0.6, mode="quantile")
             locality = locality_operator_from_hypergraph(graph)
             cfg = SolverConfig(beta=float(rng.uniform(0, 3)))
-            state = random_state(rng, m, n, mu=float(rng.uniform(0.5, 2.0)))
-            assert_gradient_matches_finite_differences(state, locality, obs, cfg)
+            state, w, j = random_state(rng, m, n, mu=float(rng.uniform(0.5, 2.0)))
+            assert_gradient_matches_finite_differences(state, w, j, locality, obs, cfg)
 
     def test_gradient_zero_at_feasible_stationary_point(self):
         rng = np.random.default_rng(6)
@@ -367,8 +389,6 @@ class TestGradient:
         z = rng.normal(size=(4, 4))
         state = SolverState(
             Z=z,
-            W=z.copy(),
-            J=z.copy(),
             E=obs.data - obs.data @ z,
             U1=np.zeros((3, 4)),
             U2=np.zeros((4, 4)),
@@ -377,7 +397,7 @@ class TestGradient:
         )
         cfg = SolverConfig(beta=0.0)
         primal = primal_residual(state, obs)
-        grad = grad_q(state, None, obs, cfg, primal)
+        grad = grad_q(state, z, z, None, obs, cfg, primal)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_step_size_bound(self, monkeypatch):
@@ -410,10 +430,10 @@ class TestUpdates:
         locality = knn_graph_laplacian(obs, 2)
         cfg = SolverConfig(mu0=1.0, max_iter=1)
         state = SolverState.initial(3, 4, cfg.mu0)
-        state.W = svt(state.Z + state.U3, 1.0 / cfg.mu0)
-        state.J = update_J(state, cfg)
+        w = svt(state.Z + state.U3, 1.0 / cfg.mu0)
+        j = update_J(state, cfg)
         state.E = update_E(state, obs.data, cfg)
-        expected = dense_z_step(state, locality, obs, cfg)
+        expected = dense_z_step(state, w, j, locality, obs, cfg)
         assert np.abs(expected).max() > 1e-3
         np.testing.assert_allclose(solve(obs, locality, cfg).Z, expected, atol=1e-12)
 
@@ -437,10 +457,12 @@ class TestUpdates:
         real_mult = solver.update_multipliers
 
         def traced_mult(state, primal):
-            iterates.append((state.Z, dense_z_step(state, locality, obs, cfg)))
+            expected = dense_z_step(state, latest["W"], latest["J"], locality, obs, cfg)
+            iterates.append((state.Z, expected))
             return real_mult(state, primal)
 
         with pytest.MonkeyPatch.context() as patch:
+            latest = spy_w_and_j(patch)
             patch.setattr(solver, "update_multipliers", traced_mult)
             solve(obs, locality, cfg)
         for z, expected in iterates:
@@ -451,7 +473,7 @@ class TestUpdates:
         rng = np.random.default_rng(8)
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         cfg = SolverConfig(gamma=0.7)
-        state = random_state(rng, 2, 3, mu=1.3)
+        state, _, _ = random_state(rng, 2, 3, mu=1.3)
         fit = obs.data - obs.data @ state.Z
         out = update_E(state, fit, cfg)
         resid = obs.data - obs.data @ state.Z + state.U1
@@ -465,7 +487,7 @@ class TestUpdates:
     def test_update_J_scalar_prox_oracle(self):
         rng = np.random.default_rng(9)
         cfg = SolverConfig(lam=0.4)
-        state = random_state(rng, 2, 3, mu=0.9)
+        state, _, _ = random_state(rng, 2, 3, mu=0.9)
         out = update_J(state, cfg)
         assert np.all(out >= 0)
         arg = state.Z + state.U2
@@ -504,14 +526,15 @@ class TestUpdates:
         rng = np.random.default_rng(10)
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         z = rng.normal(size=(3, 3))
+        w, j = z.copy(), z.copy()
         state = SolverState(
-            Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
+            Z=z, E=obs.data - obs.data @ z,
             U1=rng.normal(size=(2, 3)), U2=rng.normal(size=(3, 3)),
             U3=rng.normal(size=(3, 3)), mu=1.0,
         )
         # the dual step works in place, so compare against copies
         before = [u.copy() for u in (state.U1, state.U2, state.U3)]
-        primal = (primal_residual(state, obs), state.Z - state.J, state.Z - state.W)
+        primal = (primal_residual(state, obs), state.Z - j, state.Z - w)
         u1, u2, _, u3 = update_multipliers(state, primal)
         for new, old in zip((u1, u2, u3), before):
             np.testing.assert_allclose(new, old, atol=1e-12)
@@ -521,7 +544,7 @@ class TestUpdates:
         # the benchmark's span tracer reads it) whatever the residuals, and
         # adds each residual to its scaled multiplier U = M / mu, in place
         rng = np.random.default_rng(11)
-        state = random_state(rng, 2, 3, mu=1.7)
+        state, _, _ = random_state(rng, 2, 3, mu=1.7)
         for scale in (0.0, 1e-8, 10.0):
             scaled = (state.U1, state.U2, state.U3)
             before = [u.copy() for u in scaled]
@@ -537,7 +560,7 @@ class TestUpdates:
         obs = ObservationMatrix(rng.normal(size=(2, 3)))
         z = rng.normal(size=(3, 3))
         state = SolverState(
-            Z=z, W=z.copy(), J=z.copy(), E=obs.data - obs.data @ z,
+            Z=z, E=obs.data - obs.data @ z,
             U1=np.zeros((2, 3)), U2=np.zeros((3, 3)), U3=np.zeros((3, 3)), mu=1.0,
         )
 
@@ -554,16 +577,16 @@ class TestUpdates:
         assert not check_convergence(residual(), 0.0)
 
 
-def z_step_rhs(state, locality, observations, cfg):
-    """R of the Z-step mu (Y^T Y + 2 I) Z + 2 beta Z L = R: minus grad_q at
-    Z = 0, since the Z-step's objective is quadratic."""
+def z_step_rhs(state, w, j, locality, observations, cfg):
+    """R of the Z-step mu (Y^T Y + 2 I) Z + 2 beta Z L = R at W = w and
+    J = j: minus grad_q at Z = 0, since the Z-step's objective is quadratic."""
     zero = replace(state, Z=np.zeros_like(state.Z))
-    return -grad_q(zero, locality, observations, cfg, observations.data - state.E)
+    return -grad_q(zero, w, j, locality, observations, cfg, observations.data - state.E)
 
 
-def dense_z_step(state, locality, observations, cfg):
+def dense_z_step(state, w, j, locality, observations, cfg):
     """The Z-step's solution from one dense solve of its normal equations."""
-    rhs = z_step_rhs(state, locality, observations, cfg)
+    rhs = z_step_rhs(state, w, j, locality, observations, cfg)
     return dense_sylvester_solve(rhs, state.mu, locality, observations, cfg)
 
 
@@ -613,18 +636,21 @@ def check_loop_invariants(monkeypatch, obs, locality, cfg):
     """Run the real `solve`, checking every iteration before its dual step.
 
     J >= 0, mu is mu0, and the new Z solves the Z-step: grad_q there is at
-    most 1e-10 ||R||. The dual step runs once per reported iteration.
+    most 1e-10 ||R||. W and J are the iteration's, as `svt` and `update_J`
+    returned them. The dual step runs once per reported iteration.
     Returns the report.
     """
     calls = []
     update_mult = solver.update_multipliers
+    latest = spy_w_and_j(monkeypatch)
 
     def traced_update_mult(state, primal):
         calls.append(state.mu)
-        assert np.all(state.J >= 0)
+        w, j = latest["W"], latest["J"]
+        assert np.all(j >= 0)
         assert state.mu == cfg.mu0
-        grad = grad_q(state, locality, obs, cfg, primal[0])
-        rhs = z_step_rhs(state, locality, obs, cfg)
+        grad = grad_q(state, w, j, locality, obs, cfg, primal[0])
+        rhs = z_step_rhs(state, w, j, locality, obs, cfg)
         assert np.linalg.norm(grad) <= 1e-10 * np.linalg.norm(rhs)
         return update_mult(state, primal)
 
@@ -641,6 +667,26 @@ def indefinite_operator(n, rng):
     eigs = np.linalg.eigvalsh(op.matrix)
     assert -eigs.min() > eigs.max() > 0
     return op
+
+
+def subspaces_workload_data(seed):
+    """The benchmark's subspaces input, in its construction and random
+    stream: 64 unit-norm points on each of 5 random 4-dim subspaces of R^50,
+    plus noise at 0.01, with 16 of the 320 columns replaced by unit-norm
+    random outliers."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(5):
+        basis = np.linalg.qr(rng.normal(size=(50, 4)))[0]
+        coef = rng.normal(size=(4, 64))
+        coef /= np.linalg.norm(coef, axis=0)
+        blocks.append(basis @ coef)
+    data = np.concatenate(blocks, axis=1)
+    data = data + rng.normal(0.0, 0.01, size=data.shape)
+    for i in rng.choice(320, size=16, replace=False):
+        v = rng.normal(size=50)
+        data[:, i] = v / np.linalg.norm(v)
+    return data
 
 
 def assert_same_solve(a, b):
@@ -682,6 +728,39 @@ class TestSolveLoop:
         assert report.svt_fallbacks == 0 and len(errors) == report.iterations
         assert max(errors) < 1e-5
 
+    @pytest.mark.parametrize("method, fallbacks", [("lrr", 22), ("tlr-lrr", 23)])
+    def test_subspaces_w_steps_fall_back_no_more_than_they_did(self, method, fallbacks):
+        # the benchmark's subspaces workload at seed 0: n = 320 and about 93
+        # kept values, a range about 99 columns wide; 22 and 23 of its 100
+        # W-steps fail their certificate (counted with 1 BLAS thread)
+        obs = ObservationMatrix(subspaces_workload_data(seed=0))
+        locality = None if method == "lrr" else locality_operator_from_hypergraph(
+            epsilon_ball_hyperedges(obs, 0.05, mode="quantile"))
+        cfg = SolverConfig(beta=1.0, gamma=0.4, mu0=1.0, max_iter=100)
+        report = solve(obs, locality, cfg)
+        assert report.iterations == 100
+        assert report.svt_fallbacks <= fallbacks
+
+    @pytest.mark.parametrize("method", ["lrr", "tlr-lrr"])
+    def test_wide_two_moons_w_steps_all_take_the_low_rank_path(self, monkeypatch, method):
+        # the benchmark's wide-n workload at seed 0: two moons at n = 800
+        # with the frozen two-moons solver settings and 10 iterations
+        obs = two_moons(n_per_moon=400, noise_sigma=0.04, seed=0).observations
+        locality = None if method == "lrr" else locality_operator_from_hypergraph(
+            epsilon_ball_hyperedges(obs, 0.10, mode="quantile"))
+        accepted = []
+        real_low_rank = solver._svt_low_rank
+
+        def spied_low_rank(a, tau, warm):
+            found = real_low_rank(a, tau, warm)
+            accepted.append(found is not None)
+            return found
+
+        monkeypatch.setattr(solver, "_svt_low_rank", spied_low_rank)
+        report = solve(obs, locality, SolverConfig(beta=800.0, mu0=1.0, max_iter=10))
+        assert report.iterations == 10 and report.svt_fallbacks == 0
+        assert accepted == [True] * 10
+
     def test_duplicated_columns_converge(self, monkeypatch):
         # both stop tests are relative, so the solve stops soon after the
         # constraint is met
@@ -692,11 +771,13 @@ class TestSolveLoop:
         cfg = SolverConfig(beta=0.0, lam=1e-4, mu0=1.0, max_iter=3000)
         steps = []
         real_mult = solver.update_multipliers
+        latest = spy_w_and_j(monkeypatch)
 
         def traced_mult(state, primal):
             u1, u2, mu, u3 = real_mult(state, primal)
             # the dual step updates U in place: keep this iteration's M = mu U
-            steps.append((state.Z, state.W, state.J, state.E, primal, (mu * u1, mu * u2, mu * u3)))
+            steps.append((state.Z, latest["W"], latest["J"], state.E, primal,
+                          (mu * u1, mu * u2, mu * u3)))
             return u1, u2, mu, u3
 
         monkeypatch.setattr(solver, "update_multipliers", traced_mult)
