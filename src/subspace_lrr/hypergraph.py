@@ -128,11 +128,9 @@ class LocalityOperator:
             raise InvalidInputError("locality operator must be square")
         if not np.isfinite(mat).all():
             raise InvalidInputError("locality operator must be finite")
-        # The builders' clique products are exactly symmetric already.
+        # exactly, as `ncut_spectral` asks of an affinity; every clique product is
         if not np.array_equal(mat, mat.T):
-            if np.abs(mat - mat.T).max() > 1e-12 * np.abs(mat).max():
-                raise InvalidInputError("locality operator must be symmetric")
-            mat = 0.5 * (mat + mat.T)
+            raise InvalidInputError("locality operator must be exactly symmetric")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -99,10 +99,10 @@ class SvtWarmStart:
     descending order of their values: on the low-rank path those of
     b = Q^T a, on the exact path the leading ones of a. Vectors whose values
     sit at the rounding level of the Gram matrix they came from are left out,
-    so a zero or rank-deficient input carries fewer columns. `width` is the
-    next range finder's column count, set from the last spectrum; while
-    2 width >= min(a.shape), `svt` takes the exact path at once. `fallbacks`
-    counts the low-rank attempts that failed their certificate.
+    so a zero or rank-deficient input carries fewer columns; `svt` never
+    leaves it wider than `width`, the next range finder's column count, set
+    from the last spectrum. While 2 width >= min(a.shape), `svt` takes the
+    exact path at once. `fallbacks` counts the failed low-rank attempts.
     """
 
     rng: np.random.Generator
@@ -205,7 +205,7 @@ def _svt_low_rank(a, tau, warm):
     (u, s, v) is `_thin_svd` of b = Q^T a; None when both the residual bound
     and the power estimate exceed tau / 2."""
     m, n = a.shape
-    start = warm.basis[:, :warm.width]
+    start = warm.basis
     if start.shape[1] < warm.width:
         start = np.hstack([start, warm.rng.standard_normal((n, warm.width - start.shape[1]))])
     q = _orthonormal_basis(a @ start)
@@ -308,7 +308,9 @@ def solve(observations, locality=None, cfg=None):
     y = observations.data
     y_fro = float(np.linalg.norm(y))
     if y_fro == 0:
-        raise InvalidInputError("all-zero data matrix")
+        raise InvalidInputError("||Y||_F underflows to 0; rescale the data" if np.any(y)
+                                else "all-zero data matrix")
+    state = SolverState.initial(m, n, cfg.mu0)
 
     # The Z-step, divided by mu: (Y^T Y + 2 I) Z + 2 (beta / mu) Z L = R, with
     # R = Y^T (Y - E + U1) + J + W - U2 - U3. From Y = U diag(s) V^T and
@@ -326,21 +328,18 @@ def solve(observations, locality=None, cfg=None):
     if b[0] < -1e-10 * np.abs(b).max():
         raise InvalidInputError("locality operator must be positive semidefinite")
     b = np.maximum(b, 0.0)  # what is left below zero is rounding
-    mu = cfg.mu0
-    c = 2.0 + 2.0 * cfg.beta * b / mu
+    c = 2.0 + 2.0 * cfg.beta * b / state.mu
     d = s[:, None] ** 2 / (c + s[:, None] ** 2) / c
     p = None if q is None else (q / c) @ q.T
 
-    state = SolverState.initial(m, n, mu)
     warm = SvtWarmStart(np.random.default_rng(0), np.empty((n, 0)))
     fit = y  # Y - YZ at Z = 0
     residual_history = []
     change_history = []
-    converged = False
     tiny = np.finfo(float).tiny
 
     for iterations in range(1, cfg.max_iter + 1):
-        w = svt(state.Z + state.U3, 1.0 / mu, warm)
+        w = svt(state.Z + state.U3, 1.0 / state.mu, warm)
         j = update_J(state, cfg)
         state.E = update_E(state, fit, cfg)
 
@@ -362,10 +361,9 @@ def solve(observations, locality=None, cfg=None):
         residual = _norm(*primal) / max(
             _norm(state.E, j, w), math.hypot(_norm(yz), z_norm, z_norm), y_fro
         )
-        # the dual residual mu ||(Y dZ, dZ, dZ)|| relative to ||M||, where M = mu U
-        change = mu * math.hypot(_norm(fit_prev - fit), dz_norm, dz_norm) / max(
-            mu * _norm(state.U1, state.U2, state.U3), tiny
-        )
+        # the dual residual mu ||(Y dZ, dZ, dZ)|| relative to ||M|| = mu ||U||; mu cancels
+        change = math.hypot(_norm(fit_prev - fit), dz_norm, dz_norm) / max(
+            _norm(state.U1, state.U2, state.U3), tiny)
         residual_history.append(residual)
         change_history.append(change)
         converged = check_convergence(residual, change)
@@ -379,7 +377,7 @@ def solve(observations, locality=None, cfg=None):
         iterations=iterations,
         residual_history=residual_history,
         change_history=change_history,
-        M1=mu * state.U1,
-        M2=mu * state.U2,
+        M1=state.mu * state.U1,
+        M2=state.mu * state.U2,
         svt_fallbacks=warm.fallbacks,
     )

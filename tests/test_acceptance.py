@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subspace_lrr import (
     LocalityOperator,
@@ -138,6 +140,61 @@ def test_criterion_2_three_circles_reproduction(benchmark_runs):
     report = solve(ds.observations, locality, cfg)
     bound = lrr_dual_bound(y, laplacian, report.Z, report.M1, report.M2, cfg)
     assert f_tlr - bound <= 0.05 * f_tlr
+
+
+def random_bound_problem(seed, lam, beta, gamma, mu0=1.0):
+    """(rng, Y, L, config) of a small problem: Y is m x n with m <= 4 and
+    n <= 8, L = G G^T + (G G^T)^T is exactly symmetric and PSD."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+    g = rng.normal(size=(n, n)) * rng.uniform(0.0, 1.0)
+    laplacian = g @ g.T
+    laplacian += laplacian.T
+    cfg = SolverConfig(lam=lam, beta=beta, gamma=gamma, mu0=mu0, max_iter=300)
+    return rng, rng.normal(size=(m, n)), laplacian, cfg
+
+
+def assert_weak_duality(bound, objective):
+    # both sides are sums of a few dozen rounded terms
+    assert bound <= objective + 1e-12 * abs(objective)
+
+
+CONFIGS = {
+    "lam": st.floats(0.0, 1.0),
+    "beta": st.floats(0.0, 5.0),
+    "gamma": st.floats(0.05, 5.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.01, 10.0), **CONFIGS)
+def test_dual_bound_is_below_the_objective_at_random_points(seed, spread, lam, beta, gamma):
+    """Weak duality, which criterion 2 rests on: the bound at any Z and
+    multipliers is at most the objective at any other Z."""
+    rng, y, laplacian, cfg = random_bound_problem(seed, lam, beta, gamma)
+    m, n = y.shape
+    z_a, z_b, m2 = (spread * rng.normal(size=(n, n)) for _ in range(3))
+    m1 = spread * rng.normal(size=(m, n))
+    assert_weak_duality(lrr_dual_bound(y, laplacian, z_a, m1, m2, cfg),
+                        lrr_objective(y, laplacian, z_b, cfg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mu0=st.floats(0.1, 10.0), **CONFIGS)
+@example(seed=0, mu0=1.0, lam=0.01, beta=1.0, gamma=1.1)
+def test_dual_bound_is_below_the_objective_near_the_optimum(seed, mu0, lam, beta, gamma):
+    """Weak duality where it is tight: the multipliers of a 300-iteration
+    solve, scaled, against the objective at that solve's Z. Random points
+    leave a wide margin; these are the ones that need the bound's
+    1 / max(1, ||.||_2) scaling."""
+    _, y, laplacian, cfg = random_bound_problem(seed, lam, beta, gamma, mu0)
+    report = solve(y, LocalityOperator(laplacian), cfg)
+    objective = lrr_objective(y, laplacian, report.Z, cfg)
+    for scale in (0.5, 1.0, 2.0, 5.0):
+        assert_weak_duality(
+            lrr_dual_bound(y, laplacian, report.Z, scale * report.M1, scale * report.M2, cfg),
+            objective,
+        )
 
 
 def test_criterion_3_subspaces_with_outlier():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from subspace_lrr import ObservationMatrix, cli
 from subspace_lrr.cli import main
 from subspace_lrr.datasets import save_dataset, two_moons
+from subspace_lrr.errors import InvalidParameterError
 
 
 def run(argv):
@@ -128,11 +129,17 @@ class TestCluster:
         assert code == 2
         assert not report_path.exists()
 
-    @pytest.mark.parametrize("scale", [1e-160, 1e-10])
-    def test_z_that_reproduces_no_data_exits_2_without_report(self, tmp_path, capsys, scale):
+    @pytest.mark.parametrize("scale, message", [
+        (1e-160, "reproduces none of the data"),
+        (1e-10, "reproduces none of the data"),
+        (1e-200, "underflows to 0; rescale the data"),
+    ], ids=["1e-160", "1e-10", "1e-200"])
+    def test_z_that_reproduces_no_data_exits_2_without_report(self, tmp_path, capsys, scale,
+                                                              message):
         # at the default mu0 the solve barely moves from Z = 0 on data this
         # small: max|Z| is about 2e-320 at 1e-160 and ||YZ|| / ||Y|| about
-        # 2e-19 at 1e-10, yet NCut of |Z| still gives labels
+        # 2e-19 at 1e-10, yet NCut of |Z| still gives labels. At 1e-200
+        # ||Y||_F underflows to 0, and the solve refuses the data itself.
         moons = two_moons(n_per_moon=20, seed=1)
         data = tmp_path / "tiny.csv"
         save_dataset(replace(moons, observations=ObservationMatrix(
@@ -142,7 +149,7 @@ class TestCluster:
                     "--max-iter", 50, "--report", report_path])
         assert code == 2
         assert not report_path.exists()
-        assert "reproduces none of the data" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, module, kernel", [
         ("ncut", scipy.linalg, "eigh"),      # NCut's dense fallback eigensolve
@@ -285,6 +292,11 @@ class TestCluster:
         with pytest.raises(SystemExit) as err:
             run(["cluster", "--input", moons_file, "--method", "dbscan", "--k", 2])
         assert err.value.code == 2
+
+    def test_run_method_rejects_an_unknown_method(self):
+        # argparse stops an unknown --method first; run_method checks its own
+        with pytest.raises(InvalidParameterError, match="unknown method: 'dbscan'"):
+            cli.run_method(two_moons(n_per_moon=5, seed=0), "dbscan", 2)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_ncut_baseline_labels_data_at_extreme_scales(self, tmp_path, scale):

@@ -123,6 +123,20 @@ class TestFileIO:
             load_dataset(path)
         assert err.value.line == 3
 
+    def test_non_integer_label_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("dim_0,label\n1.0,0\n2.0,1.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="non-integer label") as err:
+            load_dataset(path)
+        assert err.value.line == 3
+
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty file") as err:
+            load_dataset(path)
+        assert err.value.line == 1
+
     def test_int64_extreme_labels_load(self, tmp_path):
         path = tmp_path / "extreme.csv"
         path.write_text(f"dim_0,label\n1.0,{2**63 - 1}\n2.0,{-(2**63)}\n", encoding="utf-8")

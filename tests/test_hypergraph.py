@@ -77,6 +77,11 @@ class TestObservationMatrix:
         scaled = ObservationMatrix(np.ldexp(x, exponent)).pairwise_distances()
         np.testing.assert_array_equal(scaled, np.ldexp(base, exponent))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_rejects_input_that_is_not_2d(self, shape):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            ObservationMatrix(np.zeros(shape))
+
     def test_huge_coordinate_keeps_a_neighbour(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -101,19 +106,20 @@ class TestLocalityOperator:
         with pytest.raises(InvalidInputError, match="finite"):
             LocalityOperator(np.array(mat))
 
-    def test_rejects_asymmetry_above_tolerance(self):
+    @pytest.mark.parametrize("asymmetry", [1e-12, 3e-12])
+    def test_rejects_any_asymmetry(self, asymmetry):
         mat = self.LAPLACIAN.copy()
-        mat[0, 1] += 3e-12  # max |L| = 2, so the tolerance is 2e-12
-        with pytest.raises(InvalidInputError):
+        mat[0, 1] += asymmetry  # 5e-13 and 1.5e-12 of max |L| = 2
+        with pytest.raises(InvalidInputError, match="exactly symmetric"):
             LocalityOperator(mat)
 
-    @pytest.mark.parametrize("asymmetry", [0.0, 1e-12])
+    @pytest.mark.parametrize("asymmetry", [0.0])
     def test_owns_a_symmetric_read_only_copy(self, asymmetry):
         mat = self.LAPLACIAN.copy()
         mat[0, 1] += asymmetry
         before = mat.copy()
         op = LocalityOperator(mat)
-        np.testing.assert_array_equal(op.matrix, 0.5 * (before + before.T))
+        np.testing.assert_array_equal(op.matrix, before)
         np.testing.assert_array_equal(mat, before)
         assert mat.flags.writeable
         assert not op.matrix.flags.writeable
@@ -180,6 +186,10 @@ class TestEpsilonBall:
             epsilon_ball_hyperedges(obs, 0.0)
         with pytest.raises(InvalidParameterError):
             epsilon_ball_hyperedges(obs, 1.5, mode="quantile")
+        with pytest.raises(InvalidParameterError, match="unknown eps mode"):
+            epsilon_ball_hyperedges(obs, 0.5, mode="relative")
+        with pytest.raises(InvalidInputError, match="at least two observations"):
+            epsilon_ball_hyperedges(ObservationMatrix([[0.0]]), 0.5)
         with pytest.raises(InvalidInputError):
             ObservationMatrix([[0.0, np.nan]])
 
@@ -258,6 +268,11 @@ class TestCliqueExpansion:
     def test_empty_graph_is_zero(self):
         op = locality_operator_from_hypergraph(Hypergraph(4, ()))
         np.testing.assert_array_equal(op.matrix, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_rejects_fewer_than_two_vertices(self, n):
+        with pytest.raises(InvalidInputError, match="at least two vertices"):
+            locality_operator_from_hypergraph(Hypergraph(n, ()))
 
     def test_quadratic_form_matches_brute_force(self):
         rng = np.random.default_rng(7)

@@ -87,6 +87,11 @@ class TestHungarian:
         with pytest.raises(InvalidInputError):
             hungarian(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cost(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            hungarian(np.array([[0.0, 1.0], [bad, 0.0]]))
+
 
 class TestAccuracy:
     def test_identity(self):
@@ -120,6 +125,10 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             accuracy(np.array([0, 1]), np.array([0, 1, 2]))
+
+    def test_empty_label_vectors(self):
+        with pytest.raises(InvalidInputError, match="empty label vectors"):
+            accuracy(np.array([], dtype=int), np.array([], dtype=int))
 
     def test_confusion_matrix_counts(self):
         pred = np.array([0, 0, 1, 1])

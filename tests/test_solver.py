@@ -877,8 +877,22 @@ class TestSolveLoop:
         np.testing.assert_allclose(report.change_history, changes, rtol=1e-9)
 
     def test_all_zero_data_raises(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="all-zero data matrix"):
             solve(np.zeros((2, 3)))
+
+    def test_data_whose_norm_underflows_are_refused_by_name(self):
+        # nonzero data, but the sum of squares behind ||Y||_F underflows to 0
+        y = two_moons(n_per_moon=20, seed=1).observations.data * 1e-200
+        assert np.any(y) and np.linalg.norm(y) == 0
+        with pytest.raises(InvalidInputError, match="underflows to 0; rescale the data"):
+            solve(y)
+
+    def test_too_few_observations_or_a_mismatched_operator_raise(self):
+        with pytest.raises(InvalidInputError, match="at least two observations"):
+            solve(np.ones((2, 1)))
+        obs = ObservationMatrix(np.random.default_rng(23).normal(size=(3, 4)))
+        with pytest.raises(InvalidInputError, match="dimension mismatch"):
+            solve(obs, knn_graph_laplacian(ObservationMatrix(obs.data[:, :3]), 1))
 
     def test_separated_clusters_give_block_dominant_affinity(self):
         rng = np.random.default_rng(15)
@@ -932,9 +946,9 @@ class TestSolveLoop:
             SolverConfig(gamma=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(mu0=0.0)
-        # mu0 above MU_MAX; 10**400 overflows a float; max_iter must be an int
+        # mu0 above MU_MAX; 10**400 overflows a float; max_iter must be a positive int
         for bad in ({"gamma": np.nan}, {"beta": np.inf}, {"lam": -np.inf}, {"mu0": 1e11},
-                    {"lam": 10**400}, {"max_iter": 2.5}):
+                    {"lam": 10**400}, {"max_iter": 2.5}, {"max_iter": 0}):
             with pytest.raises(InvalidInputError):
                 SolverConfig(**bad)
 
