@@ -53,7 +53,8 @@ class ObservationMatrix:
         return self.data.shape[1]
 
     def pairwise_distances(self):
-        """Dense N x N Euclidean distance matrix between columns.
+        """Dense N x N Euclidean distance matrix between columns. Fewer than
+        two columns raise InvalidInputError: every caller needs a pair.
 
         The data are scaled by a power of two that brings the largest
         magnitude into [0.5, 1), so the Gram product cannot overflow, and the
@@ -61,6 +62,8 @@ class ObservationMatrix:
         distance that the unscaled product computes without overflow or
         underflow comes out the same, bit for bit.
         """
+        if self.n < 2:
+            raise InvalidInputError("need at least two observations")
         exponent = np.frexp(np.abs(self.data).max(initial=0.0))[1]
         y = np.ldexp(self.data, -exponent)
         g = y.T @ y
@@ -168,8 +171,6 @@ def epsilon_ball_hyperedges(observations, eps, mode="absolute"):
     identical vertex sets merged.
     """
     n = observations.n
-    if n < 2:
-        raise InvalidInputError("need at least two observations")
     dist = observations.pairwise_distances()
     if mode == "absolute":
         if not _positive_finite(eps):
@@ -226,9 +227,9 @@ def _knn_sets(observations, k):
     smallest t, then the lowest-index entries equal to t until it has k.
     """
     n = observations.n
+    dist = observations.pairwise_distances()
     if not (1 <= k <= n - 1):
         raise InvalidParameterError(f"k must be in [1, {n - 1}]")
-    dist = observations.pairwise_distances()
     np.fill_diagonal(dist, np.inf)
     t = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
     keep = dist < t

@@ -39,7 +39,7 @@ from .hypergraph import ObservationMatrix
 EPS1 = 1e-6     # relative primal residual tolerance
 EPS2 = 1e-4     # relative dual residual tolerance
 MU_MAX = 1e10   # largest accepted penalty mu0
-SVT_OVERSAMPLE = 6  # range finder columns beyond the values the last W-step kept
+SVT_OVERSAMPLE = 6  # range finder columns beyond the last W-step's values above tau / 2
 SVT_CERT_STEPS = 5  # power iterations that estimate the range finder's residual
 
 
@@ -100,14 +100,15 @@ class SvtWarmStart:
     b = Q^T a, on the exact path the leading ones of a. Vectors whose values
     sit at the rounding level of the Gram matrix they came from are left out,
     so a zero or rank-deficient input carries fewer columns; `svt` never
-    leaves it wider than `width`, the next range finder's column count, set
-    from the last spectrum. While 2 width >= min(a.shape), `svt` takes the
-    exact path at once. `fallbacks` counts the failed low-rank attempts.
+    leaves it wider than `width`, the next range finder's column count:
+    SVT_OVERSAMPLE, then SVT_OVERSAMPLE beyond the last spectrum's values
+    above tau / 2. While 2 width >= min(a.shape), `svt` takes the exact
+    path at once. `fallbacks` counts the failed low-rank attempts.
     """
 
     rng: np.random.Generator
     basis: np.ndarray
-    width: int = 2 * SVT_OVERSAMPLE
+    width: int = SVT_OVERSAMPLE
     fallbacks: int = 0
 
 
@@ -147,9 +148,9 @@ def svt(a, tau, warm=None):
     an estimate. When the estimate fails too, the failure is counted and the
     exact path runs. Either way the warm start then carries this call's
     right basis, and the next width follows this call's spectrum, as inexact
-    ALM's predicted rank does (Lin, Chen & Ma, arXiv:1009.5055): SVT_OVERSAMPLE
-    more than the values kept, at least every value above tau / 2, which the
-    certificate needs inside the range, and never below 2 SVT_OVERSAMPLE.
+    ALM's predicted rank does (Lin, Chen & Ma, arXiv:1009.5055): every value
+    above tau / 2, which the certificate needs inside the range, plus
+    SVT_OVERSAMPLE more.
     """
     if not tau >= 0:
         raise InvalidParameterError("SVT threshold must be nonnegative")
@@ -160,9 +161,7 @@ def svt(a, tau, warm=None):
     u, s, v = _thin_svd(a, tau) if found is None else found
     kept = u.shape[1]
     if warm is not None:
-        warm.width = max(
-            kept + SVT_OVERSAMPLE, np.count_nonzero(s > tau / 2), 2 * SVT_OVERSAMPLE
-        )
+        warm.width = np.count_nonzero(s > tau / 2) + SVT_OVERSAMPLE
         warm.basis = v[:, :min(warm.width, _resolved(s, a.shape))]
     return (u * (s[:kept] - tau)) @ v[:, :kept].T
 

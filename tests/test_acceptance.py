@@ -29,7 +29,7 @@ from subspace_lrr import (
     three_circles,
 )
 from subspace_lrr import solver
-from subspace_lrr.cli import BENCHMARK_CONFIG, main
+from subspace_lrr.cli import BENCHMARK_CONFIG, LOCALITY, main
 from subspace_lrr.solver import SolverConfig, SolverState
 
 SEED = 0
@@ -366,3 +366,12 @@ def test_criterion_8_benchmark_determinism(benchmark_runs):
     first = (benchmark_runs[0] / "summary.csv").read_bytes()
     second = (benchmark_runs[1] / "summary.csv").read_bytes()
     assert first == second
+
+
+@pytest.mark.slow
+def test_benchmark_w_steps_never_fall_back(benchmark_runs):
+    # every range holds SVT_OVERSAMPLE columns beyond the values above tau / 2
+    # that its certificate needs, so none of the grid's 24000 W-steps pays
+    # the exact SVT after a failed attempt
+    for method, dataset in itertools.product(LOCALITY, BENCHMARK_CONFIG):
+        assert read_report(benchmark_runs[0], method, dataset)["svt_fallbacks"] == 0

@@ -102,6 +102,28 @@ class TestCluster:
         assert code == 2
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("method", ["ncut", "graph-lrr", "lrlrr"])
+    def test_one_point_exits_2_without_report(self, tmp_path, capsys, method):
+        # refused by name once distances are asked for, before the NCut
+        # bandwidth's median of no pairs warns, and before the neighbour
+        # count's range [1, n - 1] is checked
+        data = tmp_path / "one.csv"
+        data.write_text("dim_0,dim_1\n1.0,2.0\n")
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", method, "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert "need at least two observations" in capsys.readouterr().err
+
+    def test_one_point_kmeans_with_one_cluster_exits_0(self, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("dim_0,dim_1\n1.0,2.0\n")
+        report_path = tmp_path / "report.json"
+        assert run(["cluster", "--input", data, "--method", "kmeans", "--k", 1,
+                    "--report", report_path]) == 0
+        assert json.loads(report_path.read_text())["labels"] == [0]
+
     def test_nonconvergence_exits_3_with_report(self, tmp_path, moons_file):
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", moons_file, "--method", "tlr-lrr",
@@ -157,7 +179,7 @@ class TestCluster:
         ("lrr", np.linalg, "svd"),           # the solve's thin SVD of Y
         # the first W-step tries the low-rank SVT (n = 30 exceeds twice its
         # first width), so the first eigh is the range finder's
-        # 2 SVT_OVERSAMPLE x 2 SVT_OVERSAMPLE one
+        # SVT_OVERSAMPLE x SVT_OVERSAMPLE one
         ("lrr", np.linalg, "eigh"),
     ])
     def test_failed_linear_algebra_exits_2_without_report(self, tmp_path, moons_file,

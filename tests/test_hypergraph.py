@@ -301,6 +301,12 @@ class TestKnnLaplacians:
         op = knn_hypergraph_laplacian(obs, 1)
         np.testing.assert_allclose(op.matrix, [[1.0, -1.0], [-1.0, 1.0]])
 
+    @pytest.mark.parametrize("builder", [knn_graph_laplacian, knn_hypergraph_laplacian])
+    def test_knn_builders_refuse_one_point_by_name(self, builder):
+        # not "k must be in [1, 0]", which names the neighbour count
+        with pytest.raises(InvalidInputError, match="at least two observations"):
+            builder(ObservationMatrix([[0.0], [1.0]]), 1)
+
     def test_knn_hypergraph_collinear(self):
         obs = ObservationMatrix([[0.0, 1.0, 3.0]])
         op = knn_hypergraph_laplacian(obs, 1)
