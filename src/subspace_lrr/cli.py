@@ -61,19 +61,21 @@ BENCHMARK_CONFIG = {
 
 def _gaussian_affinity(obs):
     """Kernel affinity for the raw-data NCut baseline; bandwidth is the
-    median pairwise distance.
+    median pairwise distance, or the median nonzero one where that is 0.
 
     Distances and bandwidth are first scaled by the power of two that brings
-    the bandwidth into [0.5, 1), so neither square overflows or underflows
-    at any data scale. The scaling is exact, so data whose squares already
-    fit get the same affinity, bit for bit.
+    the bandwidth into [0.5, 1), and distances capped at 64 of those units,
+    so no square overflows or underflows at any data scale. Both are exact
+    where the affinity is not 0, so it is the same, bit for bit.
     """
     dist = obs.pairwise_distances()
-    iu = np.triu_indices(obs.n, k=1)
-    sigma = np.median(dist[iu])
-    sigma = sigma if sigma > 0 else 1.0
+    pairs = dist[np.triu_indices(obs.n, k=1)]
+    sigma = np.median(pairs)
+    if sigma == 0:
+        sigma = np.median(pairs[pairs > 0]) if pairs.any() else 1.0
     exponent = np.frexp(sigma)[1]
     w = np.ldexp(dist, -exponent, out=dist)
+    np.minimum(w, 64.0, out=w)  # past 64 bandwidths the affinity is 0 either way
     np.square(w, out=w)
     w /= -2.0 * np.ldexp(sigma, -exponent) ** 2
     np.exp(w, out=w)

@@ -53,8 +53,8 @@ class ObservationMatrix:
         return self.data.shape[1]
 
     def pairwise_distances(self):
-        """Dense N x N Euclidean distance matrix between columns. Fewer than
-        two columns raise InvalidInputError: every caller needs a pair.
+        """Dense N x N Euclidean distance matrix between columns. Fewer than two
+        columns, or a distance past the largest float, raise InvalidInputError.
 
         The data are scaled by a power of two that brings the largest
         magnitude into [0.5, 1), so the Gram product cannot overflow, and the
@@ -73,6 +73,8 @@ class ObservationMatrix:
         d2 -= g
         np.maximum(d2, 0.0, out=d2)
         np.sqrt(d2, out=d2)
+        if np.frexp(d2.max())[1] + exponent > np.finfo(float).maxexp:
+            raise InvalidInputError("pairwise distances overflow the float range; rescale the data")
         return np.ldexp(d2, exponent, out=d2)
 
 

@@ -336,6 +336,32 @@ class TestCluster:
             labels.append(json.loads(report_path.read_text())["labels"])
         assert labels[1] == labels[0]
 
+    @pytest.mark.parametrize("rows", [
+        "-1.79e308,0\n1.79e308,0\n0,0\n",
+        "0,0\n1.79e308,1.79e308\n",
+    ], ids=["opposite", "diagonal"])
+    def test_distances_past_the_float_range_exit_2_without_report(self, tmp_path, capsys,
+                                                                  rows):
+        # refused by name before the distances are scaled back and overflow
+        data = tmp_path / "far.csv"
+        data.write_text("dim_0,dim_1\n" + rows)
+        report_path = tmp_path / "report.json"
+        code = run(["cluster", "--input", data, "--method", "ncut", "--k", 2,
+                    "--report", report_path])
+        assert code == 2
+        assert not report_path.exists()
+        assert "pairwise distances overflow the float range" in capsys.readouterr().err
+
+    def test_coincident_points_and_one_far_point_exit_0(self, tmp_path):
+        # the median distance is 0, so the bandwidth is the median nonzero
+        # distance, and no square of a distance over it overflows
+        data = tmp_path / "coincident.csv"
+        data.write_text("dim_0,dim_1\n0,0\n0,0\n0,0\n0,0\n2.68e154,0\n")
+        report_path = tmp_path / "report.json"
+        assert run(["cluster", "--input", data, "--method", "ncut", "--k", 2,
+                    "--report", report_path]) == 0
+        assert json.loads(report_path.read_text())["labels"] in ([0, 0, 0, 0, 1], [1, 1, 1, 1, 0])
+
 
 class TestGaussianAffinity:
     def test_equals_the_kernel_formula(self):
@@ -353,6 +379,13 @@ class TestGaussianAffinity:
         scaled = ObservationMatrix(np.ldexp(obs.data, exponent))
         w = cli._gaussian_affinity(obs)
         assert cli._gaussian_affinity(scaled).tobytes() == w.tobytes()
+
+    def test_distances_far_past_the_bandwidth_get_zero_affinity(self):
+        # a bandwidth near 2e-155 and a distance near 1: the square of their
+        # ratio would overflow, and the cap at 64 bandwidths keeps it finite
+        obs = ObservationMatrix(np.array([[0.0, 1e-155, 2e-155, 3e-155, 1.0], [0.0] * 5]))
+        w = cli._gaussian_affinity(obs)
+        assert np.all(w[:4, 4] == 0.0) and np.all(w[:4, :4] + np.eye(4) > 0.0)
 
 
 

@@ -20,6 +20,7 @@ from subspace_lrr import (
     svt,
 )
 from subspace_lrr import solver
+from subspace_lrr.cli import BENCHMARK_CONFIG, GENERATORS, LOCALITY
 from subspace_lrr.datasets import two_moons
 from subspace_lrr.errors import InvalidInputError, InvalidParameterError
 from subspace_lrr.solver import (
@@ -456,22 +457,25 @@ class TestUpdates:
         obs = ObservationMatrix(rng.normal(size=(m, n)))
         g = rng.normal(size=(n, n))
         locality = LocalityOperator(g @ g.T + (g @ g.T).T)
-        cfg = SolverConfig(beta=beta, mu0=mu, max_iter=3)
-        iterates = []
-        real_mult = solver.update_multipliers
+        assert_z_steps_match_dense_solve(obs, locality, SolverConfig(beta=beta, mu0=mu, max_iter=3))
 
-        def traced_mult(state, primal):
-            expected = dense_z_step(state, latest["W"], latest["J"], locality, obs, cfg)
-            iterates.append((state.Z, expected))
-            return real_mult(state, primal)
-
-        with pytest.MonkeyPatch.context() as patch:
-            latest = spy_w_and_j(patch)
-            patch.setattr(solver, "update_multipliers", traced_mult)
-            solve(obs, locality, cfg)
-        for z, expected in iterates:
-            scale = max(np.abs(expected).max(), 1e-300)
-            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-8 * scale)
+    @settings(deadline=None, max_examples=50)
+    @given(
+        m=st.integers(1, 4),
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.floats(0.01, 100.0),
+        mu=st.floats(0.01, 100.0),
+    )
+    def test_split_z_step_matches_dense_sylvester_solve(self, m, sizes, seed, beta, mu):
+        # a block-diagonal operator, singletons included, under a random
+        # vertex order: each group of components solves alone, gathering its
+        # columns of R where they are not contiguous
+        rng = np.random.default_rng(seed)
+        locality, _ = shuffled_block_operator(rng, sizes)
+        assert len(solver._column_groups(locality.matrix)) >= 2
+        obs = ObservationMatrix(rng.normal(size=(m, locality.n)))
+        assert_z_steps_match_dense_solve(obs, locality, SolverConfig(beta=beta, mu0=mu, max_iter=3))
 
     def test_update_E_scalar_prox_oracle(self):
         rng = np.random.default_rng(8)
@@ -634,6 +638,42 @@ def unscaled_admm(observations, locality, cfg):
                                                 stacked(y)))
         changes.append(mu * stacked(y @ dz, dz, dz) / stacked(m1, m2, m3))
     return z, e, m1, m2, residuals, changes
+
+
+def assert_z_steps_match_dense_solve(obs, locality, cfg):
+    """Every iteration's Z of the real `solve` is within 1e-8 max|Z| of a
+    dense solve at that iteration's W, J, E and multipliers."""
+    iterates = []
+    real_mult = solver.update_multipliers
+
+    def traced_mult(state, primal):
+        expected = dense_z_step(state, latest["W"], latest["J"], locality, obs, cfg)
+        iterates.append((state.Z, expected))
+        return real_mult(state, primal)
+
+    with pytest.MonkeyPatch.context() as patch:
+        latest = spy_w_and_j(patch)
+        patch.setattr(solver, "update_multipliers", traced_mult)
+        solve(obs, locality, cfg)
+    assert iterates
+    for z, expected in iterates:
+        scale = max(np.abs(expected).max(), 1e-300)
+        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-8 * scale)
+
+
+def shuffled_block_operator(rng, sizes):
+    """(operator, labels): a positive semidefinite operator whose graph has
+    one connected component of each size in `sizes`, a singleton's entry
+    zero or positive, with its vertices in a random order; labels[i] is the
+    component of vertex i."""
+    n = sum(sizes)
+    lap = np.zeros((n, n))
+    ends = np.cumsum(sizes)
+    for k, end in zip(sizes, ends):
+        g = rng.normal(size=(k, k))
+        lap[end - k:end, end - k:end] = (g @ g.T + (g @ g.T).T) * (k > 1 or rng.integers(2))
+    perm = rng.permutation(n)
+    return LocalityOperator(lap[np.ix_(perm, perm)]), np.repeat(np.arange(len(sizes)), sizes)[perm]
 
 
 def check_loop_invariants(monkeypatch, obs, locality, cfg):
@@ -850,6 +890,19 @@ class TestSolveLoop:
         cfg = SolverConfig(mu0=1.0, max_iter=60)
         check_loop_invariants(monkeypatch, obs, locality, cfg)
 
+    def test_loop_invariants_on_a_shuffled_two_component_operator(self, monkeypatch):
+        # two far-apart clusters in a random order: the kNN graph has two
+        # components whose columns interleave, so every Z-step gathers R
+        rng = np.random.default_rng(21)
+        data = np.hstack([rng.normal(size=(3, 7)), 100.0 + rng.normal(size=(3, 7))])
+        obs = ObservationMatrix(data[:, rng.permutation(14)])
+        locality = knn_graph_laplacian(obs, 3)
+        groups = solver._column_groups(locality.matrix)
+        assert [len(g) for g in groups] == [7, 7]
+        assert all(isinstance(g, np.ndarray) for g in groups)
+        check_loop_invariants(monkeypatch, obs, locality, SolverConfig(beta=2.0, mu0=1.0,
+                                                                       max_iter=40))
+
     def test_indefinite_operator_raises(self):
         # the exact Z-step needs 2 mu + 2 beta b > 0 at every eigenvalue b of L
         rng = np.random.default_rng(18)
@@ -1002,3 +1055,62 @@ class TestSolveLoop:
         changed = replace(base, **{name: value + 1 if name == "max_iter" else 2 * value})
         a, b = solve(obs, locality, base), solve(obs, locality, changed)
         assert a.iterations != b.iterations or a.Z.tobytes() != b.Z.tobytes()
+
+
+class TestColumnGroups:
+    def test_connected_operator_is_one_group_in_place(self):
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(9, 9))
+        assert solver._column_groups(g @ g.T + (g @ g.T).T) == [slice(0, 9)]
+
+    def test_class_sorted_components_are_slices_in_order(self):
+        obs = two_moons(n_per_moon=100, noise_sigma=0.04, seed=1).observations
+        groups = solver._column_groups(knn_graph_laplacian(obs, 5).matrix)
+        assert groups == [slice(0, 100), slice(100, 200)]
+
+    def test_isolated_points_are_pooled(self):
+        # a 30-point path and 10 isolated points among its vertices, in groups
+        # of at least ceil(40 / 8) = 5 points
+        isolated = np.arange(3, 40, 4)
+        path = np.setdiff1d(np.arange(40), isolated)
+        adjacency = np.zeros((40, 40))
+        adjacency[path[:-1], path[1:]] = 1.0
+        groups = solver._column_groups(adjacency + adjacency.T)
+        np.testing.assert_array_equal(groups[0], path)
+        np.testing.assert_array_equal(np.concatenate(groups[1:]), isolated)
+        assert [len(g) for g in groups[1:]] == [5, 5]
+
+    def test_all_isolated_points_fold_the_remainder_into_the_last_group(self):
+        groups = solver._column_groups(np.zeros((20, 20)))
+        assert groups == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12),
+                          slice(12, 15), slice(15, 20)]
+
+    @settings(deadline=None, max_examples=200)
+    @given(labels=st.lists(st.integers(0, 30), min_size=2, max_size=80))
+    def test_groups_partition_the_components_into_at_most_8(self, labels):
+        labels = np.array(labels)
+        n = len(labels)
+        groups = solver._column_groups((labels[:, None] == labels).astype(float))
+        columns = [np.arange(n)[g] for g in groups]
+        assert len(groups) <= solver.Z_GROUPS
+        assert all(len(c) >= -(-n // solver.Z_GROUPS) for c in columns)
+        assert all(np.all(np.diff(c) > 0) for c in columns)
+        np.testing.assert_array_equal(np.sort(np.concatenate(columns)), np.arange(n))
+        # a component never straddles two groups
+        owner = np.concatenate([np.full(len(c), i) for i, c in enumerate(columns)])
+        owner = owner[np.argsort(np.concatenate(columns))]
+        assert all(len(set(owner[labels == v])) == 1 for v in set(labels.tolist()))
+
+    @pytest.mark.parametrize("dataset, counts", [
+        ("two-moons", {"graph-lrr": 2, "lrlrr": 2, "tlr-lrr": 2}),
+        ("three-circles", {"graph-lrr": 3, "lrlrr": 3, "tlr-lrr": 1}),
+    ])
+    def test_seed_0_grid_operators_split_by_class(self, dataset, counts):
+        # the frozen grid's operators at seed 0, each group one class (or all
+        # of them), its columns contiguous
+        spec = BENCHMARK_CONFIG[dataset]
+        obs = GENERATORS[dataset](seed=0, **spec["generator"]).observations
+        for method, count in counts.items():
+            groups = solver._column_groups(LOCALITY[method](obs, spec["method_params"]).matrix)
+            n = obs.n
+            assert groups == [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
