@@ -103,6 +103,7 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         "converged": True,  # the baselines run no solver; a solve overwrites these
         "iterations": 0,
         "svt_fallbacks": 0,
+        "e_ratio": None,
         "residual_history": [],
     }
     coefficients = None
@@ -122,6 +123,7 @@ def run_method(dataset, method, k, solver_cfg=None, method_params=None, seed=0):
         report["converged"] = bool(result.converged)
         report["iterations"] = result.iterations
         report["svt_fallbacks"] = result.svt_fallbacks
+        report["e_ratio"] = result.e_ratio
         report["residual_history"] = result.residual_history
 
     report["labels"] = [int(v) for v in labels]

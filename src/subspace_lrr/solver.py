@@ -11,7 +11,9 @@ in two blocks and then takes a dual ascent step:
 2. Z exactly, from mu (Y^T Y + 2 I) Z + 2 beta Z L = R. This Sylvester
    equation is diagonalized once per solve, from L = Q diag(b) Q^T and the
    thin SVD of Y, and splits into column blocks along the components of L's
-   graph, where Q holds sum k^2 entries instead of n^2;
+   graph, where Q holds sum k^2 entries instead of n^2. The right-hand
+   side's and the Woodbury correction's rank-m terms are each added in
+   place by one BLAS GEMM (C <- alpha A B + beta C);
 3. dual ascent on Y = YZ + E, Z = J and Z = W.
 
 The loop runs in the scaled form of that paper's section 3.1.1: it keeps
@@ -32,7 +34,7 @@ import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse import csgraph
 
 from .errors import InvalidInputError, InvalidParameterError, NumericalError
@@ -126,6 +128,7 @@ class SolveReport:
     M1: np.ndarray = field(repr=False)  # final multipliers mu U1 of Y = YZ + E
     M2: np.ndarray = field(repr=False)  # and mu U2 of Z = J
     svt_fallbacks: int  # low-rank W-steps that failed their certificate
+    e_ratio: float  # ||E||_F / ||Y||_F: the share of the data E absorbed
 
 
 def shrink(x, tau):
@@ -304,11 +307,24 @@ def _column_groups(matrix):
     return [slice(g[0], g[-1] + 1) if g[-1] - g[0] == len(g) - 1 else g for g in groups]
 
 
-def _z_block(r, vt, c, d, p, q):
-    """The Z-step's columns at the columns r of R, from their block's factors."""
-    if q is None:
-        return r / c - vt.T @ (d * (vt @ r))
-    return r @ p - vt.T @ ((d * (vt @ r @ q)) @ q.T)
+def _z_step(r, vt, factors):
+    """Z from R: each group's R[:, g] P_g goes straight into Z and its m-row
+    Woodbury factor into corr, then one GEMM subtracts V corr from all of Z."""
+    z = np.empty_like(r)
+    corr = np.empty_like(vt)
+    for g, c, d, p, q in factors:
+        if q is None:
+            np.divide(r, c, out=z)
+            np.multiply(d, vt @ r, out=corr)
+            continue
+        rg = r[:, g]
+        if isinstance(g, slice):
+            np.matmul(rg, p, out=z[:, g])
+        else:
+            z[:, g] = rg @ p
+        corr[:, g] = (d * (vt @ rg @ q)) @ q.T
+    # Z^T -= corr^T V^T in place: Z^T is Z read in Fortran order
+    return blas.dgemm(-1.0, corr.T, vt.T, beta=1.0, c=z.T, trans_b=True, overwrite_c=True).T
 
 
 def solve(observations, locality=None, cfg=None):
@@ -346,8 +362,12 @@ def solve(observations, locality=None, cfg=None):
     # P = Q diag(1 / c) Q^T, none without an operator. L is block diagonal
     # over its graph's components, so each group g of them solves alone:
     # Z[:, g] = R[:, g] P_g - V ((d_g * (V^T R[:, g] Q_g)) Q_g^T), at n sum k^2
-    # flops instead of n^3. Non-contiguous groups gather R and scatter Z.
-    # c and d, and Q and P with sum k^2 entries, are formed once per solve.
+    # flops instead of n^3. c and d, and Q and P with sum k^2 entries, are
+    # formed once per solve. Each iteration forms J + W - U2 - U3 in one array
+    # and adds the rank-m term Y^T (Y - E + U1) into it with one GEMM. Each
+    # group writes R[:, g] P_g straight into Z (a non-contiguous group
+    # gathers R and scatters Z) and its m-row factor into corr, and one GEMM
+    # then subtracts V corr from all of Z.
     try:
         _, s, vt = np.linalg.svd(y, full_matrices=False)
         groups = [slice(0, n)] if locality is None else _column_groups(locality.matrix)
@@ -376,16 +396,13 @@ def solve(observations, locality=None, cfg=None):
         j = update_J(state, cfg)
         state.E = update_E(state, fit, cfg)
 
-        r = y.T @ (y - state.E + state.U1)
-        r += j + w
+        r = np.add(j, w)
         r -= state.U2
         r -= state.U3
-        if len(factors) == 1:
-            z = _z_block(r, vt, *factors[0][1:])
-        else:
-            z = np.empty((n, n))
-            for g, *f in factors:
-                z[:, g] = _z_block(r[:, g], vt, *f)
+        # R^T += (Y - E + U1)^T Y, in place: R^T is R read in Fortran order
+        r = blas.dgemm(1.0, (y - state.E + state.U1).T, y.T, beta=1.0, c=r.T,
+                       trans_b=True, overwrite_c=True).T
+        z = _z_step(r, vt, factors)
         yz = y @ z
         dz_norm = _norm(z - state.Z)
         state.Z, fit_prev, fit = z, fit, y - yz
@@ -415,4 +432,5 @@ def solve(observations, locality=None, cfg=None):
         M1=state.mu * state.U1,
         M2=state.mu * state.U2,
         svt_fallbacks=warm.fallbacks,
+        e_ratio=_norm(state.E) / y_fro,
     )

@@ -368,6 +368,25 @@ def test_criterion_8_benchmark_determinism(benchmark_runs):
     assert first == second
 
 
+# `benchmark --seed 0`'s summary.csv, pinned byte for byte: a change to the
+# solver's arithmetic that moves any label shows here
+SUMMARY_SEED_0 = """\
+method,two-moons,three-circles
+kmeans,0.74,0.3434343434343434
+ncut,0.74,0.3434343434343434
+lrr,0.875,0.3383838383838384
+graph-lrr,0.925,0.3383838383838384
+lrlrr,0.935,0.3383838383838384
+tlr-lrr,0.995,0.3383838383838384
+misses,tlr-lrr three-circles below 0.90
+"""
+
+
+@pytest.mark.slow
+def test_benchmark_summary_is_the_seed_0_text(benchmark_runs):
+    assert (benchmark_runs[0] / "summary.csv").read_bytes() == SUMMARY_SEED_0.encode()
+
+
 @pytest.mark.slow
 def test_benchmark_w_steps_never_fall_back(benchmark_runs):
     # every range holds SVT_OVERSAMPLE columns beyond the values above tau / 2

@@ -86,6 +86,17 @@ class TestCluster:
         assert report["solver_config"]["lam"] == 0.01
         assert report["svt_fallbacks"] == 0
 
+    @pytest.mark.parametrize("method", ["kmeans", "ncut", "lrr"])
+    def test_report_carries_the_solve_e_ratio_or_null(self, tmp_path, moons_file, method):
+        report_path = tmp_path / "report.json"
+        run(["cluster", "--input", moons_file, "--method", method, "--k", 2,
+             "--max-iter", 5, "--report", report_path])
+        e_ratio = json.loads(report_path.read_text())["e_ratio"]
+        if method in ("kmeans", "ncut"):
+            assert e_ratio is None
+        else:
+            assert 0 <= e_ratio < 1
+
     def test_missing_input_exits_2(self, tmp_path):
         report_path = tmp_path / "report.json"
         code = run(["cluster", "--input", tmp_path / "absent.csv",

@@ -1,5 +1,6 @@
 """Solver primitives against independent oracles, plus loop invariants."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -476,6 +477,47 @@ class TestUpdates:
         assert len(solver._column_groups(locality.matrix)) >= 2
         obs = ObservationMatrix(rng.normal(size=(m, locality.n)))
         assert_z_steps_match_dense_solve(obs, locality, SolverConfig(beta=beta, mu0=mu, max_iter=3))
+
+    def test_class_sorted_z_step_writes_its_slices_straight_into_z(self):
+        # two far-apart kNN clusters in class order: both groups are slices,
+        # whose R[:, g] P_g goes straight into Z's columns
+        rng = np.random.default_rng(5)
+        obs = ObservationMatrix(np.hstack([rng.normal(size=(3, 15)),
+                                           100.0 + rng.normal(size=(3, 15))]))
+        locality = knn_graph_laplacian(obs, 3)
+        groups = solver._column_groups(locality.matrix)
+        assert sum(isinstance(g, slice) for g in groups) >= 2
+        assert_z_steps_match_dense_solve(obs, locality, SolverConfig(beta=2.0, mu0=1.0,
+                                                                     max_iter=5))
+
+    @pytest.mark.parametrize("with_operator", [False, True])
+    def test_rhs_with_its_rank_m_term_added_in_place_is_z_step_rhs(self, monkeypatch,
+                                                                   with_operator):
+        # the R the Z-step receives, its Y^T (Y - E + U1) added by an in-place
+        # GEMM, is z_step_rhs / mu at that iteration's W, J, E and multipliers
+        rng = np.random.default_rng(9)
+        obs = ObservationMatrix(rng.normal(size=(3, 12)))
+        locality = knn_graph_laplacian(obs, 3) if with_operator else None
+        cfg = SolverConfig(beta=2.0, mu0=0.5, max_iter=6)
+        pairs = []
+        real_z_step, real_mult = solver._z_step, solver.update_multipliers
+        latest = spy_w_and_j(monkeypatch)
+
+        def spied_z_step(r, *args):
+            pairs.append([r.copy()])
+            return real_z_step(r, *args)
+
+        def traced_mult(state, primal):
+            rhs = z_step_rhs(state, latest["W"], latest["J"], locality, obs, cfg)
+            pairs[-1].append(rhs / state.mu)
+            return real_mult(state, primal)
+
+        monkeypatch.setattr(solver, "_z_step", spied_z_step)
+        monkeypatch.setattr(solver, "update_multipliers", traced_mult)
+        solve(obs, locality, cfg)
+        assert len(pairs) == cfg.max_iter
+        for r, expected in pairs:
+            assert np.linalg.norm(r - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_update_E_scalar_prox_oracle(self):
         rng = np.random.default_rng(8)
@@ -965,6 +1007,31 @@ class TestSolveLoop:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
         np.testing.assert_allclose(report.residual_history, residuals, rtol=1e-9)
         np.testing.assert_allclose(report.change_history, changes, rtol=1e-9)
+
+    @pytest.mark.parametrize("method, ceiling", [
+        ("lrr", 10.1), ("graph-lrr", 11.1), ("tlr-lrr", 11.1),
+    ])
+    def test_traced_peak_memory_stays_under_its_ceiling(self, method, ceiling):
+        # the loop's traced peak in n x n doubles, at n = 400 where both
+        # operators split 200 + 200: one more n x n buffer alive at the peak
+        # adds 1 to it
+        obs = two_moons(n_per_moon=200, noise_sigma=0.04, seed=0).observations
+        locality = LOCALITY[method](obs, BENCHMARK_CONFIG["two-moons"]["method_params"])
+        tracemalloc.start()
+        try:
+            solve(obs, locality, SolverConfig(beta=800.0, mu0=1.0, max_iter=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * obs.n**2) <= ceiling
+
+    def test_e_ratio_is_the_share_of_the_data_e_absorbed(self):
+        obs = two_moons(n_per_moon=20, noise_sigma=0.04, seed=2).observations
+        cfg = SolverConfig(beta=10.0, gamma=0.1, mu0=1.0, max_iter=30)
+        report = solve(obs, knn_graph_laplacian(obs, 5), cfg)
+        expected = np.linalg.norm(report.E) / np.linalg.norm(obs.data)
+        assert 0 < report.e_ratio < 1
+        assert report.e_ratio == pytest.approx(expected, rel=1e-12)
 
     def test_all_zero_data_raises(self):
         with pytest.raises(InvalidInputError, match="all-zero data matrix"):
